@@ -238,7 +238,7 @@ class AdTechWorld:
         self.obs.inc("adtech.tracker_hits")
         uid = request.cookies.get("uid", "")
         state = self._uid_index.get(uid)
-        category = request.query.get("cat", "")
+        category = dict(request.query_pairs).get("cat", "")
         if state is not None and category:
             state.web_evidence[category] = state.web_evidence.get(category, 0) + 1
             if (
@@ -258,7 +258,7 @@ class AdTechWorld:
             state = self._uid_index.get(uid)
             if state is None:
                 return HttpResponse(status=204, body={"nobid": True})
-            query = request.query
+            query = dict(request.query_pairs)
             context = AuctionContext(
                 persona=state.persona,
                 interacted=state.interacted,
@@ -298,7 +298,7 @@ class AdTechWorld:
     def _handle_amazon_sync(self, request: HttpRequest) -> HttpResponse:
         """Amazon's cookie-match endpoint: records the match, 302s back to
         the partner, and never discloses Amazon's own identifier."""
-        query = request.query
+        query = dict(request.query_pairs)
         bidder_code = query.get("bidder", "")
         uid = query.get("uid", "")
         if bidder_code and uid:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-from urllib.parse import urlencode
 
 from repro.adtech.ads import AdCreative
 from repro.adtech.exchange import AdTechWorld
 from repro.data.websites import WebsiteSpec
-from repro.netsim.http import HttpRequest, HttpResponse
+from repro.netsim.http import HttpRequest, HttpResponse, encode_query
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.web
@@ -112,16 +111,19 @@ class PrebidSession:
             if not self.adtech.slot_loads(unit, persona):
                 continue
             responses: List[BidResponse] = []
+            # Every bidder of a unit gets the same query: render it once.
+            query = encode_query(
+                {
+                    "slot": unit,
+                    "page": self.site.domain,
+                    "iteration": self.iteration,
+                    "when": when,
+                }
+            )
             for bidder in self.adtech.bidders_for_slot(unit):
-                query = urlencode(
-                    {
-                        "slot": unit,
-                        "page": self.site.domain,
-                        "iteration": self.iteration,
-                        "when": when,
-                    }
+                reply = self.browser.get(
+                    f"https://{bidder.domain}/bid?{query.text}", encoded_query=query
                 )
-                reply = self.browser.get(f"https://{bidder.domain}/bid?{query}")
                 if not reply.ok:
                     continue
                 responses.append(

@@ -13,9 +13,10 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
-from urllib.parse import parse_qsl, urlparse
+from urllib.parse import parse_qsl
 
 from repro.core.experiment import AuditDataset, PersonaArtifacts
+from repro.netsim.http import netloc_host, parse_url
 from repro.web.browser import LoggedRequest
 
 __all__ = [
@@ -26,7 +27,13 @@ __all__ = [
     "fold_sync_events",
 ]
 
-_SYNC_PATHS = re.compile(r"/(cm|setuid|match|x/cm|usersync|pixel)(/|$|\?)")
+_SYNC_NAMES = "|".join(("cm", "setuid", "match", "x/cm", "usersync", "pixel"))
+_SYNC_PATHS = re.compile(rf"/({_SYNC_NAMES})(/|$|\?)")
+#: Cheap prefilter on the raw URL.  Any URL whose parsed path matches
+#: ``_SYNC_PATHS`` contains ``/<name>`` verbatim, unless ``urlparse`` had
+#: to drop a tab or line break from it first — so those characters let a
+#: URL through as well.
+_SYNC_HINT = re.compile(rf"/(?:{_SYNC_NAMES})|[\t\r\n]")
 _ID_PARAMS = ("uid", "user_id", "puid", "external_id", "buyeruid")
 
 
@@ -151,8 +158,13 @@ def _parse_syncs(request: LoggedRequest, persona: str) -> List[SyncEvent]:
     Sync URLs can repeat an ID parameter (``uid=a&uid=b`` piggybacks two
     identifiers on one call); a plain ``dict(parse_qsl(...))`` would keep
     only the last value per key, silently missing the others.
+
+    Most logged requests are bids and page loads, so the URL is only
+    parsed once the prefilter finds a sync-path hint in it.
     """
-    parsed = urlparse(request.url)
+    if _SYNC_HINT.search(request.url) is None:
+        return []
+    parsed = parse_url(request.url)
     if not _SYNC_PATHS.search(parsed.path):
         return []
     pairs = parse_qsl(parsed.query)
@@ -167,7 +179,7 @@ def _parse_syncs(request: LoggedRequest, persona: str) -> List[SyncEvent]:
     source = params.get("bidder") or params.get("partner") or params.get("source")
     if source is None:
         # Fall back to the redirect chain's origin host.
-        source = urlparse(request.chain_root).netloc
+        source = netloc_host(parse_url(request.chain_root).netloc)
     return [
         SyncEvent(
             persona=persona,

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from repro.alexa.account import AmazonAccount
 from repro.netsim.endpoints import registrable_domain
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, FaultPlan, RetryPolicy
-from repro.netsim.http import HttpRequest, HttpResponse
+from repro.netsim.http import EncodedQuery, HttpRequest, HttpResponse
 from repro.netsim.router import NetworkError
 from repro.obs.collector import NULL_OBS
 from repro.util.clock import SimClock
@@ -126,14 +126,33 @@ class Browser:
         self.obs = obs
         self.request_log: List[LoggedRequest] = []
 
-    def get(self, url: str) -> HttpResponse:
-        """GET a URL, following redirects and recording every hop."""
-        return self._fetch(url, chain_root=url, depth=0)
+    def get(
+        self, url: str, encoded_query: Optional[EncodedQuery] = None
+    ) -> HttpResponse:
+        """GET a URL, following redirects and recording every hop.
 
-    def _fetch(self, url: str, chain_root: str, depth: int) -> HttpResponse:
+        ``encoded_query`` hands over what the caller rendered into
+        ``url``'s query (:func:`~repro.netsim.http.encode_query`), so the
+        first hop never parses it back.
+        """
+        return self._fetch(url, chain_root=url, depth=0, encoded_query=encoded_query)
+
+    def _fetch(
+        self,
+        url: str,
+        chain_root: str,
+        depth: int,
+        encoded_query: Optional[EncodedQuery] = None,
+    ) -> HttpResponse:
         if depth > MAX_REDIRECTS:
             raise RuntimeError(f"redirect loop fetching {chain_root}")
-        request = HttpRequest("GET", url, cookies=self._cookies_for(url))
+        cookies: Dict[str, str] = {}
+        request = HttpRequest(
+            "GET", url, cookies=cookies, encoded_query=encoded_query
+        )
+        # The jar is keyed by the host the request has just parsed; fill
+        # its cookie dict before the request leaves the browser.
+        cookies.update(self._cookies_for(request.host))
         response = self._dispatch(request)
         for name, value in response.set_cookies.items():
             self.profile.jar.set(request.host, name, value)
@@ -192,13 +211,11 @@ class Browser:
                 body={"error": f"unreachable: {request.host}"},
             )
 
-    def _cookies_for(self, url: str) -> Dict[str, str]:
-        host = HttpRequest("GET", url).host
+    def _cookies_for(self, host: str) -> Dict[str, str]:
         cookies = self.profile.jar.get(host)
         if not cookies:
             # First visit to this party: mint its first-party cookie, the
             # identifier ad services use for syncing.
-            cookies = {}
             self.profile.jar.set(
                 host,
                 "uid",

@@ -4,7 +4,8 @@ import pytest
 
 from repro.netsim.dns import build_dns_table
 from repro.netsim.endpoints import EndpointRegistry, registrable_domain
-from repro.netsim.http import HttpRequest, HttpResponse
+from repro.netsim import http as http_module
+from repro.netsim.http import HttpRequest, HttpResponse, encode_query
 from repro.netsim.packet import Protocol
 from repro.netsim.router import NetworkError, Router
 from repro.util.clock import SimClock
@@ -168,16 +169,17 @@ class TestHttpModels:
         req = HttpRequest("GET", "https://a.example.com/p/q?x=1&y=2")
         assert req.host == "a.example.com"
         assert req.path == "/p/q"
-        assert req.query == {"x": "1", "y": "2"}
+        assert req.query_pairs == [("x", "1"), ("y", "2")]
 
     def test_with_query_merges(self):
         req = HttpRequest("GET", "https://a.example.com/p?x=1").with_query(y="2")
-        assert req.query == {"x": "1", "y": "2"}
+        assert req.query_pairs == [("x", "1"), ("y", "2")]
 
     def test_query_repeated_keys_last_wins(self):
-        # The dict accessor keeps its historical last-wins shape...
+        # A caller that wants a mapping chooses last-wins explicitly...
         req = HttpRequest("GET", "https://a.example.com/s?uid=alpha&uid=beta")
-        assert req.query == {"uid": "beta"}
+        assert dict(req.query_pairs) == {"uid": "beta"}
+        assert req.to_payload()["query"] == {"uid": "beta"}
 
     def test_query_pairs_preserves_duplicates(self):
         # ...while the pair accessors expose every value, in URL order.
@@ -187,6 +189,41 @@ class TestHttpModels:
         assert req.query_pairs == [("uid", "alpha"), ("x", "1"), ("uid", "beta")]
         assert req.query_values("uid") == ["alpha", "beta"]
         assert req.query_values("missing") == []
+
+    @pytest.fixture
+    def qsl_calls(self, monkeypatch):
+        calls = []
+        real = http_module.parse_qsl
+
+        def counting(query):
+            calls.append(query)
+            return real(query)
+
+        monkeypatch.setattr(http_module, "parse_qsl", counting)
+        return calls
+
+    def test_query_parsed_at_most_once(self, qsl_calls):
+        req = HttpRequest("GET", "https://a.example.com/s?uid=alpha&uid=beta")
+        assert req.query_pairs == [("uid", "alpha"), ("uid", "beta")]
+        assert req.query_values("uid") == ["alpha", "beta"]
+        assert req.to_payload()["query"] == {"uid": "beta"}
+        assert qsl_calls == ["uid=alpha&uid=beta"]
+
+    def test_builder_pairs_are_never_parsed(self, qsl_calls):
+        query = encode_query({"slot": "s 1", "iteration": 2, "when": ""})
+        req = HttpRequest(
+            "GET", f"https://b.example.com/bid?{query.text}", encoded_query=query
+        )
+        assert query.text == "slot=s+1&iteration=2&when="
+        assert req.query_pairs == [("slot", "s 1"), ("iteration", "2")]
+        assert req.to_payload()["query"] == {"slot": "s 1", "iteration": "2"}
+        assert qsl_calls == []
+
+    def test_port_is_not_part_of_host(self):
+        req = HttpRequest("GET", "http://a.example.com:8080/p;v=1?x=1#f")
+        assert req.host == "a.example.com"
+        assert req.path == "/p"
+        assert not req.is_https
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
