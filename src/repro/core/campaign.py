@@ -767,7 +767,11 @@ def run_segment_positions(
     from repro import __version__
     from repro.core.checkpoint import ShardJournal
     from repro.core.parallel import _ShardSupervisor
-    from repro.core.segments import run_segment_shard, write_segment_batch
+    from repro.core.segments import (
+        frozen_heap,
+        run_segment_shard,
+        write_segment_batch,
+    )
 
     roster = scaled_roster(config.roster_scale)
     positions = sorted(set(int(pos) for pos in positions))
@@ -780,32 +784,35 @@ def run_segment_positions(
     if not parallel:
         covered = store.covered_positions()
         pending = [pos for pos in positions if pos not in covered]
-        for start in range(0, len(pending), batch_personas):
-            try:
-                write_segment_batch(
-                    store, seed, config, pending[start : start + batch_personas]
-                )
-            except OSError as exc:
-                if not is_enospc(exc):
-                    raise
-                # Disk exhaustion does not heal on retry: degrade to the
-                # same partial semantics as on_shard_failure="degrade".
-                # Whatever the failed batch published before running out
-                # of space stayed atomic, so a fresh coverage scan tells
-                # exactly which personas are durably stored; the rest
-                # are reported missing and the caller stamps a partial
-                # manifest.
-                store.invalidate_scan()
-                fresh = store.covered_positions()
-                return tuple(
-                    roster[pos].name
-                    for pos in pending[start:]
-                    if pos not in fresh
-                )
-            # The dead world/runner graph is cyclic; collect it now so
-            # peak memory stays one-batch-sized instead of riding the
-            # generational GC's schedule across a long roster.
-            gc.collect()
+        with frozen_heap():
+            for start in range(0, len(pending), batch_personas):
+                try:
+                    write_segment_batch(
+                        store, seed, config, pending[start : start + batch_personas]
+                    )
+                except OSError as exc:
+                    if not is_enospc(exc):
+                        raise
+                    # Disk exhaustion does not heal on retry: degrade to the
+                    # same partial semantics as on_shard_failure="degrade".
+                    # Whatever the failed batch published before running out
+                    # of space stayed atomic, so a fresh coverage scan tells
+                    # exactly which personas are durably stored; the rest
+                    # are reported missing and the caller stamps a partial
+                    # manifest.
+                    store.invalidate_scan()
+                    fresh = store.covered_positions()
+                    return tuple(
+                        roster[pos].name
+                        for pos in pending[start:]
+                        if pos not in fresh
+                    )
+                # The dead world/runner graph is cyclic; collect it now so
+                # peak memory stays one-batch-sized instead of riding the
+                # generational GC's schedule across a long roster.  The
+                # heap is frozen, so this walks only what the batch
+                # allocated, not every live object in the process.
+                gc.collect()
         return ()
 
     n_workers = _DEFAULT_WORKERS if workers is None else workers

@@ -93,6 +93,8 @@ import hashlib
 import json
 import logging
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
@@ -1212,6 +1214,37 @@ def write_dataset_segments(store: SegmentStore, dataset) -> None:
     store.write_manifest("complete")
 
 
+#: Batch loops inside :func:`frozen_heap`, process-wide (the audit
+#: service runs campaigns in threads); guarded by ``_FREEZE_LOCK``.
+_FREEZE_DEPTH = 0
+_FREEZE_LOCK = threading.Lock()
+
+
+@contextmanager
+def frozen_heap() -> Iterator[None]:
+    """Keep the heap that exists now out of a batch loop's collections.
+
+    The outermost entry ``gc.freeze()``s every live object, so the full
+    ``gc.collect()`` after each batch walks only what the batch
+    allocated: its dead world/runner graph is still reclaimed every
+    batch, but the interpreter's long-lived heap is not re-scanned each
+    time.  Nested or concurrent loops share the freeze; the outermost
+    exit — however it leaves — ``gc.unfreeze()``s.
+    """
+    global _FREEZE_DEPTH
+    with _FREEZE_LOCK:
+        if _FREEZE_DEPTH == 0:
+            gc.freeze()
+        _FREEZE_DEPTH += 1
+    try:
+        yield
+    finally:
+        with _FREEZE_LOCK:
+            _FREEZE_DEPTH -= 1
+            if _FREEZE_DEPTH == 0:
+                gc.unfreeze()
+
+
 def write_segment_batch(
     store: SegmentStore,
     seed: Seed,
@@ -1281,22 +1314,25 @@ def run_segment_shard(
     step = max(1, batch_personas)
     covered = store.covered_positions()
     pending = [pos for pos in positions if pos not in covered]
-    for start in range(0, len(pending), step):
-        chunk = pending[start : start + step]
-        # Re-scan: another attempt of this shard (reaped as hung but
-        # still running) may have covered these positions meanwhile.
-        store.invalidate_scan()
-        fresh = store.covered_positions()
-        chunk = [pos for pos in chunk if pos not in fresh]
-        if not chunk:
-            continue
-        try:
-            write_segment_batch(store, seed, config, chunk)
-        except PositionsCoveredError:
-            store.invalidate_scan()  # lost the race; identical bytes won
-        # Collect the batch's cyclic world/runner graph immediately so a
-        # worker's peak memory is one batch, not GC-schedule-dependent.
-        gc.collect()
+    with frozen_heap():
+        for start in range(0, len(pending), step):
+            chunk = pending[start : start + step]
+            # Re-scan: another attempt of this shard (reaped as hung but
+            # still running) may have covered these positions meanwhile.
+            store.invalidate_scan()
+            fresh = store.covered_positions()
+            chunk = [pos for pos in chunk if pos not in fresh]
+            if not chunk:
+                continue
+            try:
+                write_segment_batch(store, seed, config, chunk)
+            except PositionsCoveredError:
+                store.invalidate_scan()  # lost the race; identical bytes won
+            # Collect the batch's cyclic world/runner graph immediately so
+            # a worker's peak memory is one batch, not dependent on the GC
+            # schedule.  The heap is frozen, so this walks only what the
+            # batch allocated, not every live object in the process.
+            gc.collect()
     return ShardResult(
         shard_index=shard_index,
         persona_names=list(persona_names),

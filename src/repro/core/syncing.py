@@ -184,7 +184,7 @@ def _parse_syncs(request: LoggedRequest, persona: str) -> List[SyncEvent]:
         SyncEvent(
             persona=persona,
             source=source,
-            destination_host=parsed.netloc,
+            destination_host=netloc_host(parsed.netloc),
             uid=uid,
             url=request.url,
         )

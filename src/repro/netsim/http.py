@@ -20,6 +20,7 @@ always was.
 from __future__ import annotations
 
 import re
+from collections import abc
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import ParseResult, parse_qsl, urlencode, urlparse
@@ -242,12 +243,33 @@ class HttpResponse:
 
 def estimate_size(payload: Mapping[str, Any]) -> int:
     """Rough wire size (bytes) of a parsed message, for flow statistics."""
+    return 64 + _measure(payload)  # 64 ≈ framing overhead
 
-    def measure(value: Any) -> int:
-        if isinstance(value, Mapping):
-            return sum(len(str(k)) + measure(v) + 4 for k, v in value.items())
-        if isinstance(value, (list, tuple)):
-            return sum(measure(v) + 2 for v in value)
-        return len(str(value))
 
-    return 64 + measure(payload)  # 64 ≈ framing overhead
+def _measure(value: Any) -> int:
+    # Dispatch on the exact type first: payloads are plain dicts, lists
+    # and strs, and ``type(...) is`` costs a fraction of an ``isinstance``
+    # against an ABC.  Any other type takes the generic rule: a mapping
+    # when ``issubclass(type(value), Mapping)`` (exactly what
+    # ``isinstance(value, typing.Mapping)`` computes), then any list or
+    # tuple, else the length of ``str(value)``.
+    kind = type(value)
+    if kind is str:
+        return len(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if issubclass(kind, abc.Mapping):
+            kind = dict
+        elif isinstance(value, (list, tuple)):
+            kind = list
+        else:
+            return len(str(value))
+    # Plain loops with str leaves inlined: no generator frame per node.
+    total = 0
+    if kind is dict:
+        for key, item in value.items():
+            total += len(str(key)) + 4
+            total += len(item) if type(item) is str else _measure(item)
+    else:
+        for item in value:
+            total += 2 + (len(item) if type(item) is str else _measure(item))
+    return total

@@ -6,6 +6,12 @@ cleanly per skill (§3.2).  :class:`CaptureSession` reproduces that: while a
 session is active on the router, every packet the router forwards is
 appended to it.
 
+:meth:`CaptureSession.records` is the one "would this session keep a
+packet of that device" predicate: :meth:`~CaptureSession.observe` filters
+by it, and the router asks it *before* building a packet, so packets are
+only ever built for a session that records them (the router's
+``packets_forwarded`` still counts every packet on the wire).
+
 Capture is the hot path of the whole pipeline, so a session does its
 grouping *as packets arrive*: every observed packet is routed into an
 incremental :class:`~repro.netsim.packet.FlowTable` and its DNS answers
@@ -51,11 +57,15 @@ class CaptureSession:
         default=None, repr=False, compare=False
     )
 
+    def records(self, device_id: str) -> bool:
+        """Whether the session is active and its filter matches ``device_id``."""
+        return self.active and (
+            self.device_filter is None or self.device_filter == device_id
+        )
+
     def observe(self, packet: Packet) -> None:
-        """Record a packet if the session is active and the filter matches."""
-        if not self.active:
-            return
-        if self.device_filter is not None and packet.device_id != self.device_filter:
+        """Record a packet if :meth:`records` holds for its device."""
+        if not self.records(packet.device_id):
             return
         self.packets.append(packet)
         self._table.add(packet)

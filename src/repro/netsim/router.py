@@ -10,6 +10,15 @@ vantage point sits.  The router:
   payload stripped when the transport is TLS, since the router cannot
   decrypt it.
 
+Packets exist only for a listener: the router builds a
+:class:`~repro.netsim.packet.Packet` (payload dict, size estimate and
+all) only when some attached session :meth:`records
+<repro.netsim.pcap.CaptureSession.records>` the device, since sessions
+open only around skill waves and filter by device.
+:attr:`Router.packets_forwarded` still counts every packet that crossed
+the wire, built or not, and the ephemeral ports, clock and fault
+decisions never depend on whether anyone is listening.
+
 Services (the Alexa cloud, skill backends, ad servers, websites) register a
 handler per domain.  This keeps the "Internet" a single dispatch table
 while letting every subsystem implement arbitrarily rich behaviour.
@@ -124,8 +133,11 @@ class Router:
         self.obs.inc("flows.sealed", len(session.flows()))
         return session
 
+    def _records(self, device_id: str) -> bool:
+        """Whether any attached session would record ``device_id``'s packets."""
+        return any(session.records(device_id) for session in self._captures)
+
     def _emit(self, packet: Packet) -> None:
-        self.packets_forwarded += 1
         for session in self._captures:
             session.observe(packet)
 
@@ -166,24 +178,28 @@ class Router:
             raise NetworkError(f"connection refused: no service at {host}")
 
         encrypted = request.is_https
+        protocol = Protocol.TLS if encrypted else Protocol.HTTP
+        sni = host if encrypted else None
         src_port = 49152 + self._ids.count("ephemeral-port") % 16000
         self._ids.next("ephemeral-port")
-        request_payload = None if encrypted else request.to_payload()
-        self._emit(
-            Packet(
-                timestamp=self.clock.now,
-                src_ip=device_ip,
-                dst_ip=endpoint.ip,
-                src_port=src_port,
-                dst_port=endpoint.port,
-                protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(request.to_payload()),
-                direction=Direction.OUTBOUND,
-                device_id=device_id,
-                sni=request.host if encrypted else None,
-                payload=request_payload,
+        self.packets_forwarded += 1
+        if self._records(device_id):
+            payload = request.to_payload()
+            self._emit(
+                Packet(
+                    timestamp=self.clock.now,
+                    src_ip=device_ip,
+                    dst_ip=endpoint.ip,
+                    src_port=src_port,
+                    dst_port=endpoint.port,
+                    protocol=protocol,
+                    size=estimate_size(payload),
+                    direction=Direction.OUTBOUND,
+                    device_id=device_id,
+                    sni=sni,
+                    payload=None if encrypted else payload,
+                )
             )
-        )
 
         if decision is not None and decision.kind == "timeout":
             # The request left the device (the packet above is on the
@@ -208,22 +224,24 @@ class Router:
         else:
             response = handler(request)
 
-        response_payload = None if encrypted else response.to_payload()
-        self._emit(
-            Packet(
-                timestamp=self.clock.now,
-                src_ip=endpoint.ip,
-                dst_ip=device_ip,
-                src_port=endpoint.port,
-                dst_port=src_port,
-                protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(response.to_payload()),
-                direction=Direction.INBOUND,
-                device_id=device_id,
-                sni=request.host if encrypted else None,
-                payload=response_payload,
+        self.packets_forwarded += 1
+        if self._records(device_id):
+            payload = response.to_payload()
+            self._emit(
+                Packet(
+                    timestamp=self.clock.now,
+                    src_ip=endpoint.ip,
+                    dst_ip=device_ip,
+                    src_port=endpoint.port,
+                    dst_port=src_port,
+                    protocol=protocol,
+                    size=estimate_size(payload),
+                    direction=Direction.INBOUND,
+                    device_id=device_id,
+                    sni=sni,
+                    payload=None if encrypted else payload,
+                )
             )
-        )
         return response
 
     def dns_blackhole(self, device_id: str, host: str) -> None:
@@ -269,6 +287,9 @@ class Router:
         self, device_id: str, device_ip: str, host: str, answers: List[dict]
     ) -> None:
         """Emit one DNS query/response packet pair (empty answers ≈ NXDOMAIN)."""
+        self.packets_forwarded += 2
+        if not self._records(device_id):
+            return
         dns_server_ip = f"{self.LAN_PREFIX}1"
         query_payload = {"kind": "dns-query", "domain": host}
         response_payload = {"kind": "dns-response", "answers": answers}

@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.netsim.dns import build_dns_table
+from repro.netsim import router as router_module
+from repro.netsim.dns import DNS_PORT, build_dns_table
 from repro.netsim.endpoints import EndpointRegistry, registrable_domain
 from repro.netsim import http as http_module
-from repro.netsim.http import HttpRequest, HttpResponse, encode_query
-from repro.netsim.packet import Protocol
-from repro.netsim.router import NetworkError, Router
+from repro.netsim.faults import FaultPlan, FaultProfile
+from repro.netsim.http import HttpRequest, HttpResponse, encode_query, estimate_size
+from repro.netsim.packet import Direction, Packet, Protocol
+from repro.netsim.router import BASE_LATENCY_SECONDS, BLACKHOLE_IP, NetworkError, Router
 from repro.util.clock import SimClock
+from repro.util.rng import Seed
 
 
 @pytest.fixture
@@ -240,3 +243,202 @@ class TestHttpModels:
     def test_response_ok(self):
         assert HttpResponse(status=204).ok
         assert not HttpResponse(status=404).ok
+
+
+# ---------------------------------------------------------------------- #
+# Packets are built only for a session that records them
+# ---------------------------------------------------------------------- #
+
+_PLAIN_BODY = {"plain": [1, "two", None], "nested": {"k": (True, 2.5)}}
+#: exchange kind -> (request, injected fault kind or None)
+_EXCHANGES = {
+    "http": (HttpRequest("GET", "http://plain.example.com/x?a=1&a=2&b=3"), None),
+    "tls": (
+        HttpRequest(
+            "POST",
+            "https://api.amazon.com/v1/events",
+            headers={"user-agent": "echo"},
+            cookies={"session-id": "s-1"},
+            body={"data_types": ["voice", "location"]},
+        ),
+        None,
+    ),
+    "nxdomain": (HttpRequest("GET", "https://missing.example.net/"), None),
+    "refused": (HttpRequest("GET", "https://orphan.example.net/"), None),
+    "timeout": (HttpRequest("GET", "https://api.amazon.com/t"), "timeout"),
+    "injected-nxdomain": (HttpRequest("GET", "https://api.amazon.com/n"), "nxdomain"),
+    "http-5xx": (HttpRequest("GET", "http://plain.example.com/5"), "http_5xx"),
+    "blackhole": (None, None),
+}
+_BLACKHOLED_HOST = "x.bad.com"
+_HANDLERS = {
+    "api.amazon.com": lambda req: HttpResponse(status=200, body={"ok": True}),
+    "plain.example.com": lambda req: HttpResponse(
+        status=200, headers={"x": "y"}, set_cookies={"uid": "u-1"}, body=_PLAIN_BODY
+    ),
+}
+
+
+def _exchange_rig(fault_kind=None):
+    registry = EndpointRegistry()
+    registry.register("api.amazon.com", organization="Amazon", category="functional")
+    registry.register(
+        "plain.example.com", organization="Example", category="functional", port=80
+    )
+    registry.register("orphan.example.net", organization="Orphan")
+    faults = None
+    if fault_kind is not None:
+        profile = FaultProfile(name=f"always-{fault_kind}", **{f"{fault_kind}_rate": 1.0})
+        faults = FaultPlan(Seed(3), profile)
+    router = Router(registry, SimClock(), faults=faults)
+    for domain, handler in _HANDLERS.items():
+        router.register_service(domain, handler)
+    router.attach_device("echo-1")
+    router.attach_device("echo-2")
+    return router
+
+
+def _run_exchange(router, kind, times=2):
+    request, _ = _EXCHANGES[kind]
+    for _ in range(times):
+        if request is None:
+            router.dns_blackhole("echo-1", _BLACKHOLED_HOST)
+            continue
+        try:
+            router.send("echo-1", request)
+        except NetworkError:
+            pass
+
+
+def _next_ephemeral_port(router):
+    """The source port the router hands the next request out on."""
+    router.faults = None
+    probe = router.start_capture("probe", device_filter="echo-1")
+    router.send("echo-1", HttpRequest("GET", "http://plain.example.com/probe"))
+    router.stop_capture(probe)
+    return next(p.src_port for p in probe if p.protocol is Protocol.HTTP)
+
+
+def _dns_pair(t, ip, host, answers):
+    query = {"kind": "dns-query", "domain": host}
+    response = {"kind": "dns-response", "answers": answers}
+    return [
+        Packet(
+            timestamp=t, src_ip=ip, dst_ip="192.168.7.1", src_port=5353,
+            dst_port=DNS_PORT, protocol=Protocol.DNS, size=estimate_size(query),
+            direction=Direction.OUTBOUND, device_id="echo-1", payload=query,
+        ),
+        Packet(
+            timestamp=t, src_ip="192.168.7.1", dst_ip=ip, src_port=DNS_PORT,
+            dst_port=5353, protocol=Protocol.DNS, size=estimate_size(response),
+            direction=Direction.INBOUND, device_id="echo-1", payload=response,
+        ),
+    ]
+
+
+def _http_packet(t, message, src, dst, direction, encrypted, sni):
+    payload = message.to_payload()
+    return Packet(
+        timestamp=t, src_ip=src[0], dst_ip=dst[0], src_port=src[1],
+        dst_port=dst[1], protocol=Protocol.TLS if encrypted else Protocol.HTTP,
+        size=estimate_size(payload), direction=direction, device_id="echo-1",
+        sni=sni if encrypted else None, payload=None if encrypted else payload,
+    )
+
+
+def _expected_packets(router, kind):
+    """What one exchange of ``kind`` puts in a listening capture from t=0."""
+    ip = router.device_ip("echo-1")
+    if kind == "blackhole":
+        answer = {"domain": _BLACKHOLED_HOST, "ip": BLACKHOLE_IP, "ttl": 2}
+        return _dns_pair(0.0, ip, _BLACKHOLED_HOST, [answer])
+    request, fault = _EXCHANGES[kind]
+    endpoint = router.registry.lookup_domain(request.host)
+    if endpoint is None or fault == "nxdomain":
+        return _dns_pair(0.0, ip, request.host, [])
+    answer = {"domain": request.host, "ip": endpoint.ip, "ttl": 300}
+    packets = _dns_pair(0.0, ip, request.host, [answer])
+    if kind == "refused":
+        return packets
+    device, remote = (ip, 49152), (endpoint.ip, endpoint.port)
+    encrypted = request.is_https
+    packets.append(
+        _http_packet(0.0, request, device, remote, Direction.OUTBOUND, encrypted, request.host)
+    )
+    if fault == "timeout":
+        return packets
+    if fault == "http_5xx":
+        response = HttpResponse(
+            status=503,
+            headers={"x-injected-fault": "http-5xx"},
+            body={"error": f"service unavailable: {request.host}"},
+        )
+    else:
+        response = _HANDLERS[request.host](request)
+    packets.append(
+        _http_packet(
+            BASE_LATENCY_SECONDS, response, remote, device, Direction.INBOUND,
+            encrypted, request.host,
+        )
+    )
+    return packets
+
+
+class TestPacketsOnlyForListeners:
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Count Packet constructions and payload sizings in the router."""
+        counts = {"packets": 0, "sizes": 0}
+
+        def packet(*args, **kwargs):
+            counts["packets"] += 1
+            return Packet(*args, **kwargs)
+
+        def size(payload):
+            counts["sizes"] += 1
+            return estimate_size(payload)
+
+        monkeypatch.setattr(router_module, "Packet", packet)
+        monkeypatch.setattr(router_module, "estimate_size", size)
+        return counts
+
+    @staticmethod
+    def _listening_run(kind):
+        router = _exchange_rig(_EXCHANGES[kind][1])
+        router.start_capture("listener", device_filter="echo-1")
+        _run_exchange(router, kind)
+        return router.packets_forwarded, router.clock.now, _next_ephemeral_port(router)
+
+    @pytest.mark.parametrize("capture", ["none", "other-device", "stopped"])
+    @pytest.mark.parametrize("kind", sorted(_EXCHANGES))
+    def test_no_listener_builds_no_packet(self, kind, capture, constructions):
+        router = _exchange_rig(_EXCHANGES[kind][1])
+        if capture == "other-device":
+            router.start_capture("elsewhere", device_filter="echo-2")
+        elif capture == "stopped":
+            router.start_capture("stopped").stop()  # stopped, still attached
+        _run_exchange(router, kind)
+        assert constructions == {"packets": 0, "sizes": 0}
+        observed = (router.packets_forwarded, router.clock.now)
+        observed += (_next_ephemeral_port(router),)
+        assert observed == self._listening_run(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_EXCHANGES))
+    def test_listener_sees_every_packet_as_built_from_payloads(self, kind):
+        router = _exchange_rig(_EXCHANGES[kind][1])
+        session = router.start_capture("listener", device_filter="echo-1")
+        _run_exchange(router, kind, times=1)
+        router.stop_capture(session)
+        expected = _expected_packets(router, kind)
+        assert session.packets == expected
+        assert router.packets_forwarded == len(expected)
+
+    def test_records_is_the_observe_predicate(self):
+        from repro.netsim.pcap import CaptureSession
+
+        filtered = CaptureSession("f", device_filter="echo-1")
+        open_session = CaptureSession("all")
+        assert filtered.records("echo-1") and not filtered.records("echo-2")
+        assert open_session.records("echo-2")
+        open_session.stop()
+        assert not open_session.records("echo-2")

@@ -6,16 +6,23 @@ covers the store itself: batch writes, coverage validation, the k-way
 merge, point reads, corruption quarantine, and the manifest envelope.
 """
 
+import gc
 import json
+import threading
 
 import pytest
 
+from repro.core import segments as segments_module
+from repro.core.campaign import run_segment_campaign
+from repro.core.experiment import ExperimentConfig
+from repro.core.iosim import StorageFaultPlan, storage_faults
 from repro.core.segments import (
     SEGMENT_SCHEMA_VERSION,
     STREAMS,
     CorruptSegmentError,
     PositionsCoveredError,
     SegmentStore,
+    frozen_heap,
     persona_stream_records,
     write_dataset_segments,
 )
@@ -235,3 +242,87 @@ class TestWriteDatasetSegments:
         store = SegmentStore(tmp_path, 7, "small0000000000", ("wrong",))
         with pytest.raises(ValueError):
             write_dataset_segments(store, small_dataset)
+
+
+TINY = ExperimentConfig(
+    skills_per_persona=2,
+    pre_iterations=1,
+    post_iterations=1,
+    crawl_sites=2,
+    prebid_discovery_target=5,
+    audio_hours=0.5,
+)
+
+
+class TestFrozenHeap:
+    """Batch loops freeze the pre-existing heap and always unfreeze it."""
+
+    @pytest.fixture
+    def frozen_during_batches(self, monkeypatch):
+        """``gc.get_freeze_count()`` as seen by every batch write."""
+        seen = []
+        real = segments_module.write_segment_batch
+
+        def recording(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(segments_module, "write_segment_batch", recording)
+        return seen
+
+    def test_serial_run_freezes_then_unfreezes(self, tmp_path, frozen_during_batches):
+        store = run_segment_campaign(TINY, 42, store_dir=tmp_path / "s")
+        assert store.status() == "complete"
+        assert frozen_during_batches and all(n > 0 for n in frozen_during_batches)
+        assert gc.get_freeze_count() == 0
+
+    def test_enospc_early_return_unfreezes(self, tmp_path):
+        plan = StorageFaultPlan.from_profile("none", 42).exhaust(
+            "segments", "segment", after=4
+        )
+        with storage_faults(plan):
+            store = run_segment_campaign(TINY, 42, store_dir=tmp_path / "s")
+        assert store.status() == "partial"
+        assert gc.get_freeze_count() == 0
+
+    def test_thread_backend_shards_unfreeze(self, tmp_path, frozen_during_batches):
+        store = run_segment_campaign(
+            TINY, 42, store_dir=tmp_path / "s", parallel=True, workers=2, backend="thread"
+        )
+        assert store.status() == "complete"
+        assert all(n > 0 for n in frozen_during_batches)
+        assert gc.get_freeze_count() == 0
+
+    def test_concurrent_runs_unfreeze_once_both_finish(self, tmp_path, frozen_during_batches):
+        errors = []
+
+        def run(name, seed):
+            try:
+                run_segment_campaign(TINY, seed, store_dir=tmp_path / name)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=("a", 42)),
+            threading.Thread(target=run, args=("b", 43)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        # Neither run's exit thawed the heap under the other's batches.
+        assert all(n > 0 for n in frozen_during_batches)
+        assert gc.get_freeze_count() == 0
+
+    def test_raise_unfreezes_and_nesting_unfreezes_at_outermost_exit(self):
+        with pytest.raises(RuntimeError):
+            with frozen_heap():
+                assert gc.get_freeze_count() > 0
+                raise RuntimeError("batch failed")
+        assert gc.get_freeze_count() == 0
+        with frozen_heap():
+            with frozen_heap():
+                pass
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0

@@ -3,8 +3,9 @@
 ``_parse_syncs`` skips requests whose URL carries no sync-path hint
 before parsing anything.  The oracle below is the detector as it was
 before that prefilter: ``urlparse`` + ``parse_qsl`` on every logged
-request.  Its one edit is the host rule for the chain-root fallback
-(``netloc`` without ``:port``, as everywhere else in the simulation).
+request.  Its edits are the host rule for the chain-root fallback and
+for the destination (``netloc`` without ``:port``, as everywhere else in
+the simulation).
 """
 
 import re
@@ -42,7 +43,7 @@ def oracle_parse_syncs(request, persona):
         SyncEvent(
             persona=persona,
             source=source,
-            destination_host=parsed.netloc,
+            destination_host=parsed.netloc.split(":")[0],
             uid=uid,
             url=request.url,
         )
@@ -120,6 +121,12 @@ class TestCraftedRequests:
         )
         (event,) = _parse_syncs(request, "p1")
         assert event.source == "pub.example.com"
+
+    def test_ported_sync_url_records_bare_destination_host(self):
+        url = "https://s.amazon-adsystem.com:8443/x/cm?bidder=dsp02&uid=port1"
+        (event,) = _parse_syncs(logged(url), "p1")
+        assert event.destination_host == "s.amazon-adsystem.com"
+        assert event.url == url  # the logged URL itself keeps its port
 
 
 class TestCampaignRequestLog:
