@@ -72,13 +72,9 @@ def pytest_sessionfinish(session, exitstatus):
 @pytest.fixture(scope="session")
 def dataset(request):
     """The paper-scale campaign (450 skills, 31 crawl iterations, 13
-    personas) under the default seed.
+    personas) under the default seed, computed once per session.
 
-    Served from the on-disk dataset cache when warm, *without* the
-    deep-copy on read (``cache_copy=False``): the fixture is already
-    session-shared and the benchmarks only read it, so the copy would
-    buy nothing and cost more than loading the pickle.  With
-    ``--parallel`` a cold build uses the sharded runner instead of the
+    With ``--parallel`` it is built by the sharded runner instead of the
     serial one — the two produce export-identical datasets, so every
     benchmark sees the same artifacts either way.
     """
@@ -88,7 +84,7 @@ def dataset(request):
             parallel=True,
             workers=request.config.getoption("--workers"),
         )
-    return run_campaign(seed=42, cache=True, cache_copy=False)
+    return run_campaign(seed=42)
 
 
 @pytest.fixture(scope="session")
@@ -99,8 +95,7 @@ def segment_store(dataset, tmp_path_factory):
     segment streams instead of the in-memory artifact bundle; writing
     the store once per session keeps the comparison apples-to-apples.
     """
-    from repro.core.cache import config_fingerprint
-    from repro.core.experiment import ExperimentConfig
+    from repro.core.experiment import ExperimentConfig, config_fingerprint
     from repro.core.segments import SegmentStore, write_dataset_segments
 
     store = SegmentStore(

@@ -12,8 +12,8 @@ PREAMBLE = """\
 ## CampaignSpec: one serializable campaign description
 
 `repro.core.campaign.CampaignSpec` is the single description of a
-campaign execution — config, seed, worker topology, cache,
-observability, crash-safety knobs, and store selection — shared
+campaign execution — config, seed, worker topology, observability,
+shard-failure policy, and store selection — shared
 verbatim by the Python API (`run_campaign(spec)`), the CLI
 (`repro run --spec spec.json`), and the HTTP service (`POST
 /campaigns`).  Properties the rest of the system builds on:
@@ -29,8 +29,8 @@ verbatim by the Python API (`run_campaign(spec)`), the CLI
 * **Stable fingerprint.**  `spec.fingerprint()` digests the canonical
   JSON — identical across processes and machines; job identity for the
   service and a reuse key everywhere else.
-* **Runtime companions stay out.**  A live `ObsCollector`, a
-  `DatasetCache` instance, or a `WorkerFaultPlan` are per-process
+* **Runtime companions stay out.**  A live `ObsCollector` or a
+  `WorkerFaultPlan` are per-process
   overrides accepted by the kwargs form of `run_campaign` only — they
   cannot cross a process boundary, so they are not spec fields.
 
@@ -51,11 +51,7 @@ field):
   "parallel": false,
   "workers": null,
   "backend": "process",
-  "cache": null,
-  "cache_copy": true,
   "obs": true,
-  "checkpoint_dir": null,
-  "resume": false,
   "on_shard_failure": "retry",
   "shard_timeout": null,
   "max_shard_retries": 2,
@@ -134,7 +130,7 @@ one epoch, not a diff — so any epoch is independently executable via
 
 | method | path | meaning |
 |---|---|---|
-| `POST` | `/campaigns` | submit a CampaignSpec (JSON body) → `201` + job record; invalid specs are a `400` with the construction error |
+| `POST` | `/campaigns` | submit a CampaignSpec (JSON body) → `201` + job record; invalid specs are a `400` with the construction error; a non-integer or negative `Content-Length` or a body nested too deeply to parse is a `400`, a body over `MAX_BODY_BYTES` (1 MiB) a `413` |
 | `GET` | `/campaigns` | list all jobs |
 | `GET` | `/campaigns/{id}` | one job's state record |
 | `GET` | `/campaigns/{id}/events` | Server-Sent Events tail of the job's event log (`?follow=0` replays and closes) |
@@ -146,12 +142,13 @@ one epoch, not a diff — so any epoch is independently executable via
 **Job lifecycle.**  `queued` → `running` → one of the terminal states
 `complete`, `partial` (a degraded parallel campaign dropped personas),
 `failed`, or `cancelled`.  Each job owns a directory under the service
-root (`spec.json`, `state.json`, `events.jsonl`, `out/`, plus
-per-job `checkpoint/` and `segments/` namespaces), with every state
-write atomic.  Kill the service mid-campaign and restart it on the same
-root: non-terminal jobs are re-enqueued and **resume** from their own
-crash-safe checkpoints (shard journal or content-addressed segment
-batches), producing exports byte-identical to an uninterrupted run.
+root (`spec.json`, `state.json`, `events.jsonl`, `out/`, plus a
+per-job `segments/` store for segment jobs), with every state write
+atomic.  Kill the service mid-campaign and restart it on the same
+root: non-terminal jobs are re-enqueued; a segment job **resumes**
+from the content-addressed batches its store already holds, a memory
+job runs again from scratch, and both produce exports byte-identical
+to an uninterrupted run.
 
 **Scheduling.**  `CampaignScheduler` admits jobs strict-FIFO under a
 worker-token budget (`--total-workers`): a serial campaign costs one
@@ -177,7 +174,7 @@ nor double-release tokens.
 
 **Events.**  The job log speaks the obs event schema (`schema`, `seq`,
 `type`, `sim_time`, `fields`): `job.submitted`, `job.started`
-(`resumed` flag), `job.progress` (completed shards/batches),
+(`store`, `parallel`), `job.progress` (a segment job's covered batches),
 `job.finished` / `job.failed` / `job.cancelled` / `job.recovered`.
 The SSE endpoint emits each line as one `data:` frame and closes with
 `event: end` + the terminal state.
@@ -210,8 +207,9 @@ four artifacts:
   occurrences: phase completions, skill-install failures, DSAR
   re-requests.
 * **Manifest** (`dataset.obs.manifest`) — how the run was executed: seed
-  root, config fingerprint, entrypoint (`serial`/`parallel`/`cached`),
-  worker topology and persona shards, cache hit, package version.
+  root, config fingerprint, entrypoint (`serial`/`parallel`), worker
+  topology and persona shards, shard attempt history, missing personas,
+  package version (`MANIFEST_SCHEMA_VERSION` 4).
 
 Write everything as one JSONL trace with
 `dataset.obs.write_trace(path)`, or from the CLI with
@@ -270,7 +268,7 @@ treatment as the network (`FaultPlan`) and the workers
 * **`StorageFaultPlan`** — turns a profile into concrete
   `StorageFaultDecision`s drawn from `Seed.derive("storage")`
   substreams keyed by `(component, op)` (`segments`, `checkpoint`,
-  `cache`, `service`, …), so a component's fault schedule depends only
+  `jobs`, …), so a component's fault schedule depends only
   on its own operation sequence — never on shard composition.
   `plan.exhaust(component, op, after=N)` switches an op to persistent
   `ENOSPC` after N calls for disk-full drills; `plan.snapshot()` /
@@ -285,8 +283,8 @@ treatment as the network (`FaultPlan`) and the workers
 
 The injection seam is `repro.core.checkpoint.atomic_write_bytes`
 (write-temp → fsync → rename → **parent-dir fsync**) plus the read
-paths of the digest cache, sidecar indexes, checkpoint shards, and the
-dataset cache.  The hardening contract:
+paths of the digest cache, sidecar indexes, and the supervisor's
+in-flight shard results.  The hardening contract:
 
 * Transient faults (`eio`, `fsync`, `rename`, `torn`, `slow`) are
   retried behind the seam with capped exponential backoff
@@ -309,15 +307,15 @@ dataset cache.  The hardening contract:
 
 **`repro fsck <dir> [--repair] [--out report.json]`**
 (`repro.core.fsck.fsck_path`) is the offline audit.  It auto-detects
-what a directory holds — a segment store or single campaign, a
-checkpoint journal, a service job tree (recursing into each job's
-`checkpoint/` and `segments/`) — and classifies every artifact:
+what a directory holds — a segment store or single campaign, or a
+service job tree (recursing into each job's `segments/`) — and
+classifies every artifact:
 
 | verdict | meaning | examples |
 |---|---|---|
-| `ok` | passes every integrity check | verified segment, valid shard |
-| `repaired` | reconstructible from surviving artifacts | rebuild a sidecar index, prune a stale digest cache, re-stamp a lost journal manifest, truncate a torn event-log tail |
-| `quarantined` | recomputable — moved to `*.corrupt` so a rerun recomputes | digest-mismatched segment + its marker, corrupt shard, corrupt `state.json` |
+| `ok` | passes every integrity check | verified segment, valid marker |
+| `repaired` | reconstructible from surviving artifacts | rebuild a sidecar index, prune a stale digest cache, truncate a torn event-log tail |
+| `quarantined` | recomputable — moved to `*.corrupt` so a rerun recomputes | digest-mismatched segment + its marker, corrupt `state.json` |
 | `unrecoverable` | identity-bearing, reported but never deleted | store `MANIFEST.json`, job `spec.json`, interior event-log damage |
 
 Without `--repair` the identical report is a dry run (`applied:
@@ -327,24 +325,32 @@ unrecoverable.
 
 ## Crash safety & resume
 
-Parallel campaigns checkpoint every completed shard and can be resumed
-after a crash.  The layer has two halves:
+The segment store is the one reuse and resume mechanism.  Re-running a
+`store="segments"` campaign against the same `store_dir` (CLI: `repro
+run --store segments --store-dir DIR`) skips every persona batch
+already covered there for the same seed and config, whether the
+earlier run finished or was killed mid-run, serial or parallel.
+Batches are published atomically and are content-addressed, and the
+campaign directory is keyed by seed root and config fingerprint, so a
+re-run never adopts another campaign's batches.  Because batches are
+seed-deterministic, a resumed run's exports are **byte-identical** to
+an uninterrupted run's, under healthy and mild-faulted networks, on
+both backends (`tests/integration/test_resume_determinism.py`; CI's
+`chaos-smoke` job crashes a worker, re-runs on the store, and diffs).
+Memory-store campaigns keep nothing on disk; a killed one starts over.
 
-* **`repro.core.checkpoint`** — `ShardJournal` persists each shard's
-  `ShardResult` with an atomic write-temp → fsync → rename
-  (`atomic_write_bytes`), wrapped in an envelope stamped with
-  `CHECKPOINT_SCHEMA_VERSION`, the seed root, the config fingerprint,
-  and a digest of the shard plan.  `validate_for_resume` raises
-  `CheckpointError` when a journal belongs to a different campaign; an
-  unreadable or mis-stamped entry raises `CorruptShardError` and is
-  quarantined to `*.corrupt` rather than trusted.  A run-level
-  `journal.json` manifest records status
-  (`running`/`complete`/`partial`/`failed`), per-shard attempt history,
-  and missing personas.
-* **The shard supervisor** (`repro.core.parallel`) — workers publish
-  results through the journal (an ephemeral tempdir when no
-  `checkpoint_dir` is given); the supervisor polls worker liveness,
-  restarts crashed workers with a bounded retry budget
+Parallel runs are driven by a supervisor in two halves:
+
+* **`repro.core.checkpoint`** — `ShardJournal` carries each worker's
+  `ShardResult` back to the supervisor with an atomic write-temp →
+  fsync → rename (`atomic_write_bytes`), wrapped in an envelope stamped
+  with `CHECKPOINT_SCHEMA_VERSION`, the seed root, the config
+  fingerprint, and a digest of the shard plan.  The journal lives in an
+  ephemeral directory deleted when the run ends.  An unreadable or
+  mis-stamped entry (a poisoned result) raises `CorruptShardError` and
+  is quarantined to `*.corrupt` rather than trusted.
+* **The shard supervisor** (`repro.core.parallel`) — polls worker
+  liveness, restarts crashed workers with a bounded retry budget
   (`max_shard_retries`), and reaps workers hung past a **wall-clock**
   `shard_timeout` (a stuck simulated clock cannot fool the watchdog).
   `SupervisorPolicy` bundles the knobs; `on_shard_failure` picks what
@@ -352,19 +358,9 @@ after a crash.  The layer has two halves:
   raises `ShardFailure` after the budget), `"degrade"` (completes
   without the lost personas, recorded in `dataset.missing_personas`,
   the run manifest, and `supervisor.*` counters), or `"raise"` (aborts
-  on first failure).
-
-`run_campaign(..., parallel=True, checkpoint_dir=DIR)` turns on durable
-checkpointing; `resume=True` loads completed shards and computes only
-the rest.  From the CLI: `python -m repro run --parallel
---checkpoint-dir DIR [--resume] [--on-shard-failure MODE]
-[--shard-timeout SECONDS]`.  Because shard artifacts are
-seed-deterministic, a resumed run's exports are **byte-identical** to
-an uninterrupted run's, under healthy and mild-faulted networks, on
-both backends (`tests/integration/test_resume_determinism.py`; CI's
-`chaos-smoke` job kills a worker for real and diffs).  The manifest
-schema (v3) records `shard_attempts`, `missing_personas`, `resumed`,
-and `checkpointed`.
+  on first failure).  `SupervisorReport` returns the attempt history
+  per shard and the dropped personas.  From the CLI: `python -m repro
+  run --parallel [--on-shard-failure MODE] [--shard-timeout SECONDS]`.
 
 Recovery is testable on demand: `WorkerFaultPlan` injects worker-level
 faults (`WORKER_FAULT_KINDS`: `crash`, `hang`, `poison`) either at
@@ -401,16 +397,6 @@ none of it moves an exported byte
   results.  Repeat lookups the caches absorbed are counted as
   `analysis.domain_cache_hits`; pass `memoize=False` to either cache
   for the uncached legacy behaviour.
-* **Copy-on-read cache** — `DatasetCache.read(seed_root, config,
-  copy=True)` replaces `get_or_run` (which survives as a deep-copy
-  alias).  `copy=False` aliases the cached instance for read-only
-  consumers — `run_campaign(..., cache=True, cache_copy=False)`, the
-  CLI's `--cache` flag, and the benchmark session dataset all use it.
-  `CACHE_SCHEMA_VERSION` is 5 (`AuditDataset` gained
-  `missing_personas`); older pickles are recomputed, and a corrupt
-  entry is quarantined to `*.corrupt` with a warning and treated as a
-  miss (sharing `repro.core.checkpoint.atomic_write_bytes` on the
-  write side).
 * **Benchmark gate** — `pytest benchmarks/... --bench-json PATH` writes
   measurements recorded via the `bench_record` fixture;
   `bench_pipeline_throughput` asserts the optimized path is ≥1.5× the
@@ -478,7 +464,7 @@ one entrypoint used by the CLI, the service, tests, and benchmarks.
 |---|---|
 | `run_experiment(seed, config)` | `run_campaign(config, seed)` |
 | `run_parallel_experiment(seed, config, workers=4, backend="process")` | `run_campaign(config, seed, parallel=True, workers=4, backend="process")` |
-| `run_cached_experiment(seed_root, config)` | `run_campaign(config, seed_root, cache=True)` |
+| `run_cached_experiment(seed_root, config)` | `run_campaign(CampaignSpec(config=config, seed=seed_root, store="segments", store_dir=DIR))` (see below) |
 
 Note the argument order: `run_campaign` takes `(config, seed)` — config
 first, matching how call sites are usually parameterized — and
@@ -497,8 +483,34 @@ dataset = run_campaign(spec)            # Python API
 campaign; derive variants with `spec.replace(workers=8)`.  The kwargs
 form `run_campaign(config, seed, ...)` remains supported as a shim that
 builds the spec internally and also accepts the non-serializable
-runtime companions (`obs=` collector, `cache=` instance,
-`worker_faults=`).
+runtime companions (`obs=` collector, `worker_faults=`).
+
+### Removed in 2.0: the dataset cache and the durable shard journal
+
+Reuse and crash-resume now have one mechanism, the segment store:
+re-run a `store="segments"` campaign against the same `store_dir`
+(CLI: `--store segments --store-dir DIR`) to reuse a finished campaign
+or resume a killed one.  Removed:
+
+| removed | replacement |
+|---|---|
+| spec fields `cache`, `cache_copy`, `checkpoint_dir`, `resume` (and the `run_campaign` kwargs of the same names) | `store="segments"` + `store_dir` |
+| CLI `--cache` (`run`, `tables`, `report`, `policheck`, `sync`) | `run --store segments --store-dir DIR`; the analysis commands compute their campaign on every call |
+| CLI `--checkpoint-dir`, `--resume` | `run --store segments --store-dir DIR`, run again on the same `DIR` |
+| run-manifest fields `cache_hit`, `resumed`, `checkpointed` and entrypoint `"cached"` (manifest schema 3 → 4) | the segment store's `MANIFEST.json` status and batch markers |
+| `repro.core.cache` (`DatasetCache`, `REPRO_CACHE_DIR`), `CheckpointError`, the journal's `journal.json` and `fsck` checkpoint-journal kind | the segment store; `config_fingerprint` moved to `repro.core.experiment` with the same digest |
+| `job.started`'s `resumed` field | `job.recovered` marks a job re-queued after a restart |
+
+`SPEC_SCHEMA_VERSION` stays 1: a schema-1 document that names none of
+the removed fields describes the same campaign as before, and one that
+names a removed field is rejected with an error naming it.  Documents
+that 1.x's `to_json()` wrote list all four removed fields at their
+defaults, so delete those keys from saved spec and timeline files before
+reusing them.  For the same reason the jobs of a 1.x service root do
+not load in 2.0: the service starts, logs a warning for each such job
+and skips it, leaving its directory in place (`repro fsck` reports its
+`spec.json` as unrecoverable).  Start 2.0 on a fresh `--root` to keep
+the job list clean.
 """
 
 

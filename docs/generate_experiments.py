@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every experiment.
 
-Runs the full default-seed campaign (cached) and writes the comparison
+Runs the full default-seed campaign and writes the comparison
 tables. Usage: python docs/generate_experiments.py
 """
 
@@ -46,7 +46,7 @@ PAPER13 = {"voice recording": (20, 18, 147, 258), "customer id": (11, 9, 38, 84)
 
 
 def main() -> None:
-    ds = run_campaign(seed=42, cache=True)
+    ds = run_campaign(seed=42)
     world = ds.world
     vendor_by_skill = {s.skill_id: s.vendor for s in world.catalog}
     traffic = analyze_traffic(ds, world.org_resolver(), world.filter_list, vendor_by_skill)

@@ -45,7 +45,7 @@ from repro.core.campaign import CampaignSpec, execute_spec, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.util.rng import Seed
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CampaignSpec",

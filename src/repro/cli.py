@@ -16,16 +16,17 @@ Commands
 
 Every campaign-running command shares one flag set (``--seed``,
 ``--small``, ``--parallel``, ``--workers``, ``--backend``, ``--faults``,
-``--cache``, ``--quiet``, ``--trace-out``, ``--metrics-out``) and goes
-through
-:func:`repro.core.run_campaign`.  ``run`` additionally exposes the
-crash-safety knobs (``--checkpoint-dir``, ``--resume``,
-``--on-shard-failure``, ``--shard-timeout``) and accepts a serialized
-:class:`~repro.core.campaign.CampaignSpec` via ``--spec`` — the same
-document the HTTP service takes, so ``repro run --spec`` and an HTTP
-submission of the same file export byte-identical directories.  Output
-is emitted through the ``repro.cli`` logger; ``--quiet`` raises the
-threshold to warnings.
+``--quiet``, ``--trace-out``, ``--metrics-out``) and goes through
+:func:`repro.core.run_campaign`; ``tables``, ``report``, ``policheck``
+and ``sync`` compute their campaign on every call.  ``run``
+additionally exposes the shard-failure knobs (``--on-shard-failure``,
+``--shard-timeout``) and the segment store (``--store segments
+--store-dir DIR``, the one way to reuse or resume a campaign), and
+accepts a serialized :class:`~repro.core.campaign.CampaignSpec` via
+``--spec`` — the same document the HTTP service takes, so ``repro run
+--spec`` and an HTTP submission of the same file export byte-identical
+directories.  Output is emitted through the ``repro.cli`` logger;
+``--quiet`` raises the threshold to warnings.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ def _campaign_parent(common: argparse.ArgumentParser) -> argparse.ArgumentParser
         "stay byte-identical to a fault-free run",
     )
     parent.add_argument(
-        "--cache",
-        action="store_true",
-        help="serve the campaign from the on-disk dataset cache, computing "
-        "and storing it on first use; the CLI only reads the dataset, so "
-        "the cached instance is aliased without a deep copy",
-    )
-    parent.add_argument(
         "--trace-out",
         metavar="PATH",
         default=None,
@@ -188,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="segment store root for --store segments "
         "(default: <out>/_segments); covered personas found there are "
-        "reused instead of recomputed",
+        "reused instead of recomputed, so re-running a killed campaign "
+        "on the same DIR resumes it",
     )
     run.add_argument(
         "--roster-scale",
@@ -198,20 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicate each interest persona N times (controls are "
         "never replicated): roster grows from 13 to 9*N+4 personas; "
         "large scales should use --store segments",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="journal completed persona shards to DIR (requires --parallel); "
-        "a killed run can be resumed from it with --resume",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint journal in --checkpoint-dir instead "
-        "of recomputing completed shards; exports are byte-identical to an "
-        "uninterrupted run of the same seed/config",
     )
     run.add_argument(
         "--on-shard-failure",
@@ -236,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--root",
         default="audit-jobs",
-        help="service state directory (jobs, checkpoints, exports); "
+        help="service state directory (jobs, segment stores, exports); "
         "restarting with the same root recovers in-flight jobs",
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -271,21 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     fsck = sub.add_parser(
         "fsck",
         parents=[common],
-        help="cold integrity audit of a segment store, checkpoint "
-        "journal, or service job tree",
+        help="cold integrity audit of a segment store or service job tree",
     )
     fsck.add_argument(
         "path",
         metavar="DIR",
         help="artifact tree to audit (auto-detected: segment store / "
-        "campaign dir / checkpoint journal / job tree)",
+        "campaign dir / job tree)",
     )
     fsck.add_argument(
         "--repair",
         action="store_true",
         help="apply repairs: rebuild sidecar indexes, drop stale digest "
-        "caches, re-stamp recoverable journal manifests, truncate torn "
-        "event-log tails, quarantine corrupt artifacts to *.corrupt",
+        "caches, truncate torn event-log tails, quarantine corrupt "
+        "artifacts to *.corrupt",
     )
     fsck.add_argument(
         "--out",
@@ -376,9 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
         "to verify exactly that)",
     )
 
-    sub.add_parser("tables", parents=[campaign], help="print headline tables")
+    sub.add_parser(
+        "tables",
+        parents=[campaign],
+        help="print headline tables (computes the campaign on every call)",
+    )
 
-    report = sub.add_parser("report", parents=[campaign], help="render reports")
+    report = sub.add_parser(
+        "report",
+        parents=[campaign],
+        help="render reports (computes the campaign on every call)",
+    )
     report.add_argument(
         "view",
         choices=("obs-summary",),
@@ -386,11 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     policheck = sub.add_parser(
-        "policheck", parents=[campaign], help="run the §7 compliance analysis"
+        "policheck",
+        parents=[campaign],
+        help="run the §7 compliance analysis (computes the campaign on "
+        "every call)",
     )
     policheck.add_argument("--with-amazon-policy", action="store_true")
 
-    sub.add_parser("sync", parents=[campaign], help="run the §5.5 cookie-sync analysis")
+    sub.add_parser(
+        "sync",
+        parents=[campaign],
+        help="run the §5.5 cookie-sync analysis (computes the campaign on "
+        "every call)",
+    )
 
     audio = sub.add_parser(
         "audio", parents=[common], help="run the §5.4 audio-ad study"
@@ -433,17 +429,12 @@ def _resolve_config(args, config: Optional[ExperimentConfig] = None):
 def _run_campaign_from_args(args, config: Optional[ExperimentConfig] = None):
     """One code path from parsed flags to a campaign dataset."""
     config = _resolve_config(args, config)
-    use_cache = getattr(args, "cache", False)
     dataset = run_campaign(
         config,
         args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
         backend=args.backend,
-        cache=True if use_cache else None,
-        cache_copy=not use_cache,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=getattr(args, "resume", False),
         on_shard_failure=getattr(args, "on_shard_failure", "retry"),
         shard_timeout=getattr(args, "shard_timeout", None),
     )
@@ -478,9 +469,6 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         incompatible = [
             flag
             for flag, active in (
-                ("--cache", args.cache),
-                ("--resume", args.resume),
-                ("--checkpoint-dir", args.checkpoint_dir is not None),
                 ("--trace-out", args.trace_out is not None),
                 ("--metrics-out", args.metrics_out is not None),
             )
@@ -488,9 +476,8 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         ]
         if incompatible:
             _LOG.warning(
-                "%s do(es) not apply to --store segments: the store's "
-                "content-addressed batches already provide reuse and resume, "
-                "and segment workers do not trace",
+                "%s do(es) not apply to --store segments: segment workers "
+                "do not trace",
                 ", ".join(incompatible),
             )
             return None
@@ -507,22 +494,12 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         )
     if args.store_dir is not None:
         _LOG.warning("--store-dir is ignored without --store segments")
-    cache_root = None
-    if args.cache:
-        from repro.core.cache import DatasetCache
-
-        cache_root = str(DatasetCache().root)
     return CampaignSpec(
         config=_resolve_config(args),
         seed=args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
         backend=args.backend,
-        # the CLI only reads the dataset, so a cache hit is aliased
-        cache=cache_root,
-        cache_copy=not args.cache,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         on_shard_failure=args.on_shard_failure,
         shard_timeout=args.shard_timeout,
     )
@@ -543,12 +520,9 @@ def _cmd_run(args) -> int:
                 ("--parallel", args.parallel),
                 ("--backend", args.backend != "process"),
                 ("--faults", args.faults != "none"),
-                ("--cache", args.cache),
                 ("--store", args.store != "memory"),
                 ("--store-dir", args.store_dir is not None),
                 ("--roster-scale", args.roster_scale != 1),
-                ("--checkpoint-dir", args.checkpoint_dir is not None),
-                ("--resume", args.resume),
                 ("--on-shard-failure", args.on_shard_failure != "retry"),
                 ("--shard-timeout", args.shard_timeout is not None),
             )

@@ -33,10 +33,8 @@ from repro.core.compliance import (
     policy_availability,
     run_validation_study,
 )
-from repro.core.cache import DatasetCache
 from repro.core.campaign import run_campaign, run_segment_campaign
 from repro.core.checkpoint import (
-    CheckpointError,
     CorruptShardError,
     ShardJournal,
     atomic_write_bytes,
@@ -96,11 +94,9 @@ from repro.core.world import World, build_world
 __all__ = [
     "AuditDataset",
     "AudioAdAnalysis",
-    "CheckpointError",
     "ComplianceAnalysis",
     "CorruptSegmentError",
     "CorruptShardError",
-    "DatasetCache",
     "DisplayAdAnalysis",
     "ExperimentConfig",
     "ExperimentRunner",

@@ -1,18 +1,11 @@
 """The one campaign entrypoint: :func:`run_campaign` on a
 :class:`CampaignSpec`.
 
-The framework grew three ways to run the measurement campaign — serial
-(``run_experiment``), persona-sharded parallel
-(``run_parallel_experiment``), and disk-cached
-(``run_cached_experiment``) — each with its own argument order and no
-shared observability story.  ``run_campaign`` collapsed them behind one
-signature, and then accreted thirteen keyword arguments that could not
-cross a process boundary.  :class:`CampaignSpec` is the redesign: one
-frozen, validated, JSON-round-trippable object holding *everything* that
-defines a campaign execution — config, seed, worker topology, cache,
-observability, crash-safety knobs, and store selection — shared verbatim
-by the Python API, the CLI, and the HTTP service
-(:mod:`repro.service`)::
+:class:`CampaignSpec` is one frozen, validated, JSON-round-trippable
+object holding *everything* that defines a campaign execution — config,
+seed, worker topology, observability, shard-failure policy, and store
+selection — shared verbatim by the Python API, the CLI, and the HTTP
+service (:mod:`repro.service`)::
 
     spec = CampaignSpec(config=ExperimentConfig(), seed=42,
                         parallel=True, workers=4)
@@ -26,7 +19,12 @@ delegates::
     dataset = run_campaign(config, seed)                     # serial
     dataset = run_campaign(config, seed, parallel=True,
                            workers=4, backend="process")     # sharded
-    dataset = run_campaign(config, seed, cache=True)         # cached
+
+Reuse and crash-resume come from one place: the segment store
+(``store="segments"``).  Re-running a segment campaign against the same
+``store_dir`` skips every persona batch already covered there, whether
+the earlier run finished or was killed.  Memory-store campaigns always
+compute from scratch.
 
 Observability is on by default: every run traces into an
 :class:`~repro.obs.ObsCollector` (spans, counters, events, manifest)
@@ -51,9 +49,9 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.experiment import (
-    AuditDataset,
     ExperimentConfig,
     _run_serial_experiment,
+    config_fingerprint,
 )
 from repro.core.iosim import current_storage_faults, is_enospc
 from repro.core.parallel import (
@@ -62,6 +60,7 @@ from repro.core.parallel import (
     SupervisorPolicy,
     WorkerFaultPlan,
     _run_parallel_experiment,
+    _supervise,
     shard_personas,
 )
 from repro.core.personas import scaled_roster
@@ -112,25 +111,6 @@ def _resolve_obs(obs: Union[None, bool, ObsCollector]):
     )
 
 
-def _resolve_cache(cache):
-    """``None``/``False`` → off, ``True`` → default root, path → that root,
-    :class:`~repro.core.cache.DatasetCache` → as-is."""
-    from repro.core.cache import DatasetCache
-
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return DatasetCache()
-    if isinstance(cache, (str, Path)):
-        return DatasetCache(Path(cache))
-    if isinstance(cache, DatasetCache):
-        return cache
-    raise TypeError(
-        "cache must be None, a bool, a path, or a DatasetCache, got "
-        f"{type(cache).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------- #
 # CampaignSpec
 # ---------------------------------------------------------------------- #
@@ -143,7 +123,7 @@ class CampaignSpec:
     Every field is a JSON scalar, a nested :class:`ExperimentConfig`, or
     ``None`` — ``CampaignSpec.from_json(spec.to_json())`` round-trips
     exactly, and :meth:`fingerprint` is a stable identity usable as a
-    cache/job key across processes and machines.  Validation happens at
+    job key across processes and machines.  Validation happens at
     construction (``__post_init__``), so an invalid spec can never be
     submitted, scheduled, or executed: the CLI, the Python API, and the
     HTTP body all fail with the same message.
@@ -166,20 +146,9 @@ class CampaignSpec:
     workers: Optional[int] = None
     #: Parallel backend: ``"process"`` or ``"thread"``.
     backend: str = "process"
-    #: Dataset-cache root directory, or ``None`` for no cache.  Serial
-    #: memory-store campaigns only.
-    cache: Optional[str] = None
-    #: On a cache hit, deep-copy (``True``) or alias (``False``) the
-    #: cached dataset.  ``False`` requires ``cache``.
-    cache_copy: bool = True
     #: Collect the observability trace (``dataset.obs``).  Memory store
     #: only; segment-store workers never trace.
     obs: bool = True
-    #: Durable shard-journal directory (parallel memory store only).
-    checkpoint_dir: Optional[str] = None
-    #: Load valid checkpointed shards from ``checkpoint_dir`` instead of
-    #: recomputing them.
-    resume: bool = False
     #: Supervisor policy when a shard exhausts its attempts:
     #: ``"retry"`` / ``"degrade"`` / ``"raise"``.
     on_shard_failure: str = "retry"
@@ -190,7 +159,9 @@ class CampaignSpec:
     #: Result store: ``"memory"`` or ``"segments"``.
     store: str = "memory"
     #: Segment-store root (``store="segments"`` only; ``None`` lets
-    #: :func:`execute_spec` default it to ``<out>/_segments``).
+    #: :func:`execute_spec` default it to ``<out>/_segments``).  Covered
+    #: batches found there are reused, which is how a killed campaign
+    #: resumes.
     store_dir: Optional[str] = None
     #: Personas per streamed batch (``store="segments"`` only).
     batch_personas: int = 1
@@ -239,8 +210,6 @@ class CampaignSpec:
             )
         if not self.parallel:
             supervisor_knobs = {
-                "checkpoint_dir": (self.checkpoint_dir, None),
-                "resume": (self.resume, False),
                 "on_shard_failure": (self.on_shard_failure, "retry"),
                 "shard_timeout": (self.shard_timeout, None),
                 "max_shard_retries": (self.max_shard_retries, 2),
@@ -253,45 +222,15 @@ class CampaignSpec:
             if offending:
                 raise ValueError(
                     f"{', '.join(offending)} require(s) parallel=True — the "
-                    "checkpoint journal and shard supervisor only exist for "
-                    "sharded runs"
+                    "shard supervisor only exists for sharded runs"
                 )
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume=True requires checkpoint_dir=...")
-        if not self.cache_copy and self.cache is None:
-            raise ValueError("cache_copy=False requires cache=...")
-        if self.parallel and self.cache is not None:
-            raise ValueError(
-                "cache=... is mutually exclusive with parallel=True; the cache "
-                "stores serial campaigns (a cached parallel run would never "
-                "exercise the shard merge it exists to verify)"
-            )
-        if self.store == "segments":
-            offending = [
-                name
-                for name, active in (
-                    ("cache", self.cache is not None),
-                    ("checkpoint_dir", self.checkpoint_dir is not None),
-                    ("resume", self.resume),
-                )
-                if active
-            ]
-            if offending:
-                raise ValueError(
-                    f"{', '.join(offending)} do(es) not apply to "
-                    "store='segments': the store's content-addressed batches "
-                    "already provide reuse and resume"
-                )
-        elif self.batch_personas != 1:
+        if self.store != "segments" and self.batch_personas != 1:
             raise ValueError("batch_personas requires store='segments'")
-        for name in ("cache", "checkpoint_dir", "store_dir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise TypeError(
-                    f"{name} must be a string path or None in a CampaignSpec, "
-                    f"got {type(value).__name__} (the kwargs form of "
-                    "run_campaign accepts Path/DatasetCache objects)"
-                )
+        if self.store_dir is not None and not isinstance(self.store_dir, str):
+            raise TypeError(
+                "store_dir must be a string path or None in a CampaignSpec, "
+                f"got {type(self.store_dir).__name__}"
+            )
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -385,11 +324,7 @@ def run_campaign(
     parallel: bool = False,
     workers: Optional[int] = None,
     backend: str = "process",
-    cache=None,
-    cache_copy: bool = True,
     obs: Union[None, bool, ObsCollector] = None,
-    checkpoint_dir: Union[None, str, Path] = None,
-    resume: bool = False,
     on_shard_failure: str = "retry",
     shard_timeout: Optional[float] = None,
     max_shard_retries: int = 2,
@@ -413,15 +348,7 @@ def run_campaign(
 
     obs:
         ``None``/``True``/``False`` map onto ``spec.obs``; an existing
-        :class:`~repro.obs.ObsCollector` traces into it (serial/cached
-        only).
-    cache:
-        ``True`` → the default cache root, a path → that root, or a live
-        :class:`~repro.core.cache.DatasetCache` instance.
-    cache_copy:
-        On a cache hit, ``True`` (default) returns an independent deep
-        copy; ``False`` aliases the cached instance (read-only
-        consumers).
+        :class:`~repro.obs.ObsCollector` traces into it (serial only).
     worker_faults:
         Seeded :class:`~repro.core.parallel.WorkerFaultPlan` injecting
         worker-level crash/hang/poison faults (tests, chaos CI).  Never
@@ -435,11 +362,7 @@ def run_campaign(
             "parallel": (parallel, False),
             "workers": (workers, None),
             "backend": (backend, "process"),
-            "cache": (cache, None),
-            "cache_copy": (cache_copy, True),
             "obs": (obs, None),
-            "checkpoint_dir": (checkpoint_dir, None),
-            "resume": (resume, False),
             "on_shard_failure": (on_shard_failure, "retry"),
             "shard_timeout": (shard_timeout, None),
             "max_shard_retries": (max_shard_retries, 2),
@@ -459,7 +382,6 @@ def run_campaign(
     if config is None:
         config = ExperimentConfig()
     seed_obj = _resolve_seed(seed)
-    cache_store = _resolve_cache(cache)
     if obs is not None and not isinstance(obs, (bool, ObsCollector)):
         raise TypeError(
             f"obs must be None, a bool, or an ObsCollector, got {type(obs).__name__}"
@@ -473,33 +395,22 @@ def run_campaign(
         parallel=parallel,
         workers=workers,
         backend=backend,
-        cache=None if cache_store is None else str(cache_store.root),
-        cache_copy=cache_copy,
         obs=obs is not False,
-        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-        resume=resume,
         on_shard_failure=on_shard_failure,
         shard_timeout=shard_timeout,
         max_shard_retries=max_shard_retries,
     )
-    return _execute(
-        spec,
-        obs_override=obs_override,
-        cache_override=cache_store,
-        worker_faults=worker_faults,
-    )
+    return _execute(spec, obs_override=obs_override, worker_faults=worker_faults)
 
 
 def _execute(
     spec: CampaignSpec,
     *,
     obs_override: Optional[ObsCollector] = None,
-    cache_override=None,
     worker_faults: Optional[WorkerFaultPlan] = None,
 ):
     """Execute a validated spec (plus runtime-only companions)."""
     from repro import __version__
-    from repro.core.cache import config_fingerprint
 
     if spec.store == "segments":
         if spec.store_dir is None:
@@ -525,9 +436,6 @@ def _execute(
     config = spec.config
     seed = Seed(spec.seed)
     collector = obs_override if obs_override is not None else _resolve_obs(spec.obs)
-    cache_store = (
-        cache_override if cache_override is not None else _resolve_cache(spec.cache)
-    )
     if spec.parallel and obs_override is not None:
         raise ValueError(
             "cannot trace a parallel run into a caller-supplied collector; "
@@ -551,8 +459,6 @@ def _execute(
             workers=n_workers,
             backend=spec.backend,
             collect_obs=collector.enabled,
-            checkpoint_dir=spec.checkpoint_dir,
-            resume=spec.resume,
             policy=policy,
         )
         shards = tuple(
@@ -573,24 +479,6 @@ def _execute(
                 for index in range(len(shards))
             ),
             missing_personas=report.missing_personas,
-            resumed=spec.resume,
-            checkpointed=spec.checkpoint_dir is not None,
-        )
-    elif cache_store is not None:
-        dataset = cache_store.read(
-            seed.root,
-            config,
-            copy=spec.cache_copy,
-            compute=lambda: _run_serial_experiment(seed, config, obs=collector),
-        )
-        manifest = RunManifest(
-            seed_root=seed.root,
-            config_fingerprint=fingerprint,
-            entrypoint="cached",
-            shards=(roster,),
-            cache_hit=cache_store.last_hit,
-            package_version=__version__,
-            fault_profile=config.fault_profile,
         )
     else:
         dataset = _run_serial_experiment(seed, config, obs=collector)
@@ -675,11 +563,11 @@ def run_segment_campaign(
     :func:`repro.core.export.export_segment_store`; for the same seed
     and config the files are byte-identical to the in-memory path's.
 
-    Coverage is content-addressed per batch, which subsumes the
-    dataset cache and the shard checkpoint journal at once: re-running
-    the same ``(seed, config)`` skips covered personas (reuse), and a
-    killed campaign — serial or parallel — resumes from its completed
-    batches without any extra flags.
+    Coverage is content-addressed per batch, and it is the only reuse
+    and resume mechanism: re-running the same ``(seed, config)`` against
+    the same ``store_dir`` skips covered personas (reuse), and a killed
+    campaign — serial or parallel — resumes from its completed batches
+    without any extra flags.
 
     With ``parallel=True`` the roster is sharded under the same
     supervisor as :func:`run_campaign` (``on_shard_failure`` /
@@ -692,7 +580,6 @@ def run_segment_campaign(
     manifest status is ``"complete"``, or ``"partial"`` when a degraded
     parallel run dropped personas.
     """
-    from repro.core.cache import config_fingerprint
     from repro.core.segments import SegmentStore
 
     if config is None:
@@ -761,12 +648,7 @@ def run_segment_positions(
     """
     import functools
     import gc
-    import shutil
-    import tempfile
 
-    from repro import __version__
-    from repro.core.checkpoint import ShardJournal
-    from repro.core.parallel import _ShardSupervisor
     from repro.core.segments import (
         frozen_heap,
         run_segment_shard,
@@ -830,32 +712,21 @@ def run_segment_positions(
         [p.name for p in shard]
         for shard in shard_personas([roster[pos] for pos in positions], n_workers)
     ]
-    # The journal here is supervisor bookkeeping only (attempt history,
-    # crash/hang/poison recovery) — durability lives in the store's
-    # content-addressed batches, so the journal is ephemeral.
-    journal_root = tempfile.mkdtemp(prefix="repro-segment-journal-")
-    try:
-        journal = ShardJournal(
-            journal_root, seed.root, store.config_fingerprint, plan
-        )
-        journal.reset()
-        journal.write_manifest(status="running", package_version=__version__)
-        supervisor = _ShardSupervisor(
-            journal,
-            seed,
-            config,
-            backend,
-            False,  # collect_obs: segment shards never trace
-            policy,
-            shard_fn=functools.partial(
-                run_segment_shard,
-                store_root=str(store.root),
-                batch_personas=batch_personas,
-            ),
-        )
-        _, report = supervisor.run({})
-    finally:
-        shutil.rmtree(journal_root, ignore_errors=True)
+    # Durability lives in the store's content-addressed batches; the
+    # supervisor only tracks attempts (crash/hang/poison recovery).
+    _, report = _supervise(
+        seed,
+        config,
+        plan,
+        backend,
+        False,  # collect_obs: segment shards never trace
+        policy,
+        shard_fn=functools.partial(
+            run_segment_shard,
+            store_root=str(store.root),
+            batch_personas=batch_personas,
+        ),
+    )
     # Workers wrote batches from other processes; drop any coverage scan
     # the caller's handle took before the run.
     store.invalidate_scan()

@@ -1,34 +1,25 @@
-"""Crash-safe shard checkpoint journal.
+"""Atomic publish helpers and the supervisor's per-shard result journal.
 
-The paper's measurement campaign ran for months against live
-infrastructure, where partial failure — a crawler OOM, a hung vantage
-point, a killed process — is the normal case.  The reproduction's
-parallel runner originally shared that fragility: one lost worker
-discarded every completed persona shard.  This module is the durability
-layer underneath the shard supervisor (:mod:`repro.core.parallel`): each
-completed :class:`~repro.core.parallel.ShardResult` is published to an
-on-disk **journal** keyed by seed root, config fingerprint, and the
-shard plan, so a campaign killed mid-run resumes from its completed
-shards and — because shard artifacts are seed-deterministic — produces
-exports byte-identical to an uninterrupted run.
+:func:`atomic_write_bytes` is the storage seam every durable write in
+the reproduction goes through (segment store, service job state, fsck
+repairs); :func:`quarantine_path` moves a corrupt artifact aside.
 
-Durability rules:
+:class:`ShardJournal` is how parallel shard workers hand their
+:class:`~repro.core.parallel.ShardResult` back to the supervisor
+(:mod:`repro.core.parallel`).  It lives in an ephemeral directory that
+the supervisor deletes when the run ends, so nothing in it outlives a
+run: reuse and crash-resume belong to the segment store
+(:mod:`repro.core.segments`).  Within a run:
 
-* **Atomic publish.**  Every journal write goes through
+* **Atomic publish.**  Every entry goes through
   :func:`atomic_write_bytes` (write temp → flush → ``fsync`` →
-  ``os.replace``), so a crash mid-write never leaves a half-written
-  payload at a journal key.  The same helper backs the dataset cache
-  (:mod:`repro.core.cache`).
+  ``os.replace``), so the supervisor never reads a half-written payload.
 * **Schema-stamped entries.**  Each shard payload records the journal
   schema version, the seed root, the config fingerprint, the shard-plan
-  digest, and the shard's persona names.  A stale or foreign entry —
-  different campaign, different plan, older schema — never resumes; it
-  raises :class:`CorruptShardError` and the supervisor quarantines it
-  (rename to ``*.corrupt``) and recomputes.
-* **Run-level manifest.**  ``journal.json`` records the journal key,
-  the shard plan, per-shard attempt history, and the final status
-  (``complete`` / ``partial`` / ``failed``), so an operator — or a CI
-  chaos job — can audit what a crashed run left behind.
+  digest, and the shard's persona names.  An entry that fails to load or
+  validate — a poisoned worker result — raises
+  :class:`CorruptShardError`; the supervisor quarantines it (rename to
+  ``*.corrupt``) and recomputes the shard.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.iosim import (
     DEFAULT_STORAGE_RETRY,
@@ -52,7 +43,6 @@ from repro.core.iosim import (
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "CheckpointError",
     "CorruptShardError",
     "ShardJournal",
     "atomic_write_bytes",
@@ -61,18 +51,12 @@ __all__ = [
     "shard_plan_digest",
 ]
 
-#: Bump whenever the journal payload layout changes shape; stale entries
-#: fail validation and are recomputed rather than resumed.
+#: Bump whenever the journal payload layout changes shape; entries with
+#: another stamp fail validation.
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_MANIFEST_NAME = "journal.json"
 
-
-class CheckpointError(RuntimeError):
-    """The journal cannot serve this run (missing or mismatched key)."""
-
-
-class CorruptShardError(CheckpointError):
+class CorruptShardError(RuntimeError):
     """A journal entry exists but is unreadable or fails validation."""
 
 
@@ -165,7 +149,7 @@ def atomic_write_bytes(
 
     A reader can never observe a partial file at ``path`` — it sees
     either the previous content or the full new content.  The ``fsync``
-    before the rename is what makes the journal crash-safe: without it a
+    before the rename is what makes the publish crash-safe: without it a
     power loss could publish a name pointing at unwritten blocks; the
     directory fsync after it is what keeps the published *name* from
     vanishing in the same crash.
@@ -236,9 +220,7 @@ class ShardJournal:
     """Atomic per-shard result journal for one campaign execution.
 
     A journal is bound to a **key**: ``(seed_root, config_fingerprint,
-    shard_plan)``.  Entries written under a different key never load —
-    resuming a journal against the wrong campaign raises instead of
-    silently merging foreign artifacts.
+    shard_plan)``.  Entries written under a different key never load.
     """
 
     def __init__(
@@ -268,10 +250,6 @@ class ShardJournal:
     def error_path(self, shard_index: int) -> Path:
         return self.root / f"shard-{shard_index:04d}.error"
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / _MANIFEST_NAME
-
     # ------------------------------------------------------------------ #
     # Shard entries
     # ------------------------------------------------------------------ #
@@ -298,7 +276,7 @@ class ShardJournal:
         return path
 
     def load_shard(self, shard_index: int):
-        """The checkpointed ``ShardResult``, or ``None`` when absent.
+        """The published ``ShardResult``, or ``None`` when absent.
 
         Raises :class:`CorruptShardError` when an entry exists but is
         unreadable or stamped with a different schema version, campaign
@@ -309,7 +287,7 @@ class ShardJournal:
         try:
             # Corruptible seam read: a flipped bit fails the pickle load
             # or envelope validation below, and the caller quarantines
-            # and recomputes — never silently resumes altered data.
+            # and recomputes — never silently merges altered data.
             raw = _seam_read_bytes(
                 path, component="checkpoint", op="shard", corruptible=True
             )
@@ -342,36 +320,12 @@ class ShardJournal:
                 )
         return payload["result"]
 
-    def has_entry(self, shard_index: int) -> bool:
-        return self.shard_path(shard_index).exists()
-
     def quarantine(self, shard_index: int) -> Optional[Path]:
         """Move a bad entry aside (``*.corrupt``) so a retry can publish."""
         path = self.shard_path(shard_index)
         if not path.exists():
             return None
         return quarantine_path(path)
-
-    def load_completed(self) -> Dict[int, object]:
-        """Every valid checkpointed shard, quarantining corrupt entries."""
-        completed: Dict[int, object] = {}
-        for index in range(len(self.shard_plan)):
-            try:
-                result = self.load_shard(index)
-            except CorruptShardError:
-                self.quarantine(index)
-                continue
-            if result is not None:
-                completed[index] = result
-        return completed
-
-    def reset(self) -> None:
-        """Drop every shard entry and error record (fresh run)."""
-        if not self.root.is_dir():
-            return
-        for pattern in ("shard-*.pkl", "shard-*.error", "shard-*.pkl.corrupt"):
-            for path in self.root.glob(pattern):
-                path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Worker error records
@@ -390,74 +344,6 @@ class ShardJournal:
             return self.error_path(shard_index).read_text()
         except (FileNotFoundError, OSError):
             return None
-
-    # ------------------------------------------------------------------ #
-    # Run-level manifest
-    # ------------------------------------------------------------------ #
-
-    def write_manifest(
-        self,
-        *,
-        status: str,
-        attempts: Optional[Dict[int, List[str]]] = None,
-        missing_personas: Sequence[str] = (),
-        package_version: str = "",
-    ) -> None:
-        """Publish the run-level journal manifest (``journal.json``)."""
-        if status not in ("running", "complete", "partial", "failed"):
-            raise ValueError(f"invalid journal status: {status!r}")
-        payload = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "plan_digest": self.plan_digest,
-            "shard_plan": [list(names) for names in self.shard_plan],
-            "status": status,
-            "attempts": {
-                str(index): list(outcomes)
-                for index, outcomes in sorted((attempts or {}).items())
-            },
-            "missing_personas": list(missing_personas),
-            "package_version": package_version,
-        }
-        atomic_write_bytes(
-            self.manifest_path,
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-            component="checkpoint",
-            op="manifest",
-        )
-
-    def read_manifest(self) -> Optional[Dict[str, object]]:
-        try:
-            return json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptShardError(
-                f"journal manifest {self.manifest_path} is unreadable: {exc}"
-            ) from exc
-
-    def validate_for_resume(self) -> Dict[str, object]:
-        """Check the on-disk manifest matches this run's journal key."""
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise CheckpointError(
-                f"cannot resume: no journal manifest at {self.manifest_path}"
-            )
-        for field, want in (
-            ("schema", CHECKPOINT_SCHEMA_VERSION),
-            ("seed_root", self.seed_root),
-            ("config_fingerprint", self.config_fingerprint),
-            ("plan_digest", self.plan_digest),
-        ):
-            got = manifest.get(field)
-            if got != want:
-                raise CheckpointError(
-                    f"cannot resume: journal {field} is {got!r}, this run "
-                    f"expects {want!r} (same seed, config, and worker count "
-                    "are required to resume a checkpointed campaign)"
-                )
-        return manifest
 
     # ------------------------------------------------------------------ #
 

@@ -19,6 +19,9 @@ Timeline (simulated dates mirror the paper's December-2021 campaign):
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -45,6 +48,7 @@ from repro.web.browser import LoggedRequest
 
 __all__ = [
     "ExperimentConfig",
+    "config_fingerprint",
     "PersonaArtifacts",
     "PolicyFetch",
     "AuditDataset",
@@ -79,7 +83,7 @@ class ExperimentConfig:
     #: Timeline-epoch mutations (:mod:`repro.core.timeline`).  All of
     #: them default to "no mutation", so a plain campaign is epoch 0 of
     #: every timeline.  Because they are config fields they participate
-    #: in :func:`repro.core.cache.config_fingerprint` — two epochs whose
+    #: in :func:`config_fingerprint` — two epochs whose
     #: effective configs match share a segment-store directory and reuse
     #: each other's covered personas for free.
     #:
@@ -181,6 +185,16 @@ class ExperimentConfig:
                     f"interest_drift token {token!r} must be "
                     "'<persona>:<shift>' with an integer shift >= 1"
                 )
+
+
+def config_fingerprint(config: ExperimentConfig) -> str:
+    """Stable digest of every config field (new fields change the key).
+
+    Segment-store campaign directories embed it, so changing the digest
+    orphans every store on disk.
+    """
+    payload = json.dumps(dataclasses.asdict(config), sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass

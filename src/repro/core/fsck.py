@@ -1,8 +1,7 @@
 """Cold integrity audit (and repair) of the on-disk artifact trees.
 
 Every durable tree the reproduction writes — the content-addressed
-segment store (:mod:`repro.core.segments`), the shard checkpoint journal
-(:mod:`repro.core.checkpoint`), the service job tree
+segment store (:mod:`repro.core.segments`) and the service job tree
 (:mod:`repro.service.jobs`) — already self-heals *online*: readers
 re-validate envelopes and digests and quarantine or rebuild what fails.
 ``fsck`` is the offline counterpart: walk a tree cold (no campaign
@@ -17,13 +16,12 @@ Verdicts, per artifact:
 * **repaired** — wrong but reconstructible from authoritative bytes:
   a sidecar index rebuilt from its digest-verified segments, a stale or
   corrupt digest cache dropped (every file then verifies cold once), a
-  journal manifest re-stamped from the valid shard entries it indexes,
-  a torn event-log tail truncated to the last complete line.
+  torn event-log tail truncated to the last complete line.
 * **quarantined** — corrupt and not reconstructible in place, but the
   surrounding machinery recovers by recomputing: a digest-mismatched
-  segment, an invalid batch marker, a corrupt shard pickle, a corrupt
-  ``state.json``.  Moved to ``*.corrupt`` (never deleted, never left at
-  a live name); the next run recomputes the lost work.
+  segment, an invalid batch marker, a corrupt ``state.json``.  Moved to
+  ``*.corrupt`` (never deleted, never left at a live name); the next
+  run recomputes the lost work.
 * **unrecoverable** — identity-bearing artifacts nothing can
   reconstruct: a corrupt store ``MANIFEST.json`` (the roster lives only
   there), a corrupt job ``spec.json``, an interior event-log line that
@@ -39,16 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    atomic_write_bytes,
-    quarantine_path,
-)
+from repro.core.checkpoint import atomic_write_bytes, quarantine_path
 
 __all__ = ["FsckReport", "fsck_path"]
 
@@ -107,18 +99,16 @@ def fsck_path(
     """Audit one artifact tree; returns the JSON-ready report.
 
     Auto-detects what ``path`` holds: a segment store root (or a single
-    campaign directory inside one), a checkpoint journal, or a service
-    job tree (or a single job directory).  Raises ``ValueError`` when
-    the directory matches none of them.
+    campaign directory inside one) or a service job tree (or a single
+    job directory).  Raises ``ValueError`` when the directory matches
+    none of them.
     """
     root = Path(path)
     if not root.is_dir():
         raise ValueError(f"fsck target is not a directory: {root}")
     kind = _detect(root)
     if kind is None:
-        raise ValueError(
-            f"{root} is not a segment store, checkpoint journal, or job tree"
-        )
+        raise ValueError(f"{root} is not a segment store or job tree")
     report = FsckReport(root, kind, repair)
     if kind == "segment-store":
         for campaign_dir in sorted(root.glob("campaign-seed*-*")):
@@ -126,8 +116,6 @@ def fsck_path(
                 _fsck_segment_campaign(campaign_dir, report)
     elif kind == "segment-campaign":
         _fsck_segment_campaign(root, report)
-    elif kind == "checkpoint-journal":
-        _fsck_checkpoint_journal(root, report)
     elif kind == "job-tree":
         jobs_dir = root / "jobs" if (root / "jobs").is_dir() else root
         for job_dir in sorted(jobs_dir.glob("job-*")):
@@ -143,8 +131,6 @@ def _detect(root: Path) -> Optional[str]:
         return "segment-campaign"
     if any(root.glob("campaign-seed*-*/MANIFEST.json")):
         return "segment-store"
-    if (root / "journal.json").is_file() or any(root.glob("shard-*.pkl")):
-        return "checkpoint-journal"
     if (root / "spec.json").is_file():
         return "job"
     if (root / "jobs").is_dir() or any(root.glob("job-*/spec.json")):
@@ -446,106 +432,6 @@ def _fsck_digest_cache(
 
 
 # ---------------------------------------------------------------------- #
-# Checkpoint journal
-# ---------------------------------------------------------------------- #
-
-_JOURNAL_KEY_FIELDS = ("seed_root", "config_fingerprint", "plan_digest")
-
-
-def _fsck_checkpoint_journal(journal_dir: Path, report: FsckReport) -> None:
-    manifest_path = journal_dir / "journal.json"
-    manifest = _load_json(manifest_path)
-    manifest_valid = (
-        isinstance(manifest, dict)
-        and manifest.get("schema") == CHECKPOINT_SCHEMA_VERSION
-        and all(field in manifest for field in _JOURNAL_KEY_FIELDS)
-    )
-
-    entries: Dict[int, Dict[str, object]] = {}
-    for shard_path in sorted(journal_dir.glob("shard-*.pkl")):
-        payload = _shard_payload(shard_path)
-        problem = None
-        if payload is None:
-            problem = "shard entry unreadable (pickle load failed)"
-        elif payload.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-            problem = "shard entry carries a different schema version"
-        elif manifest_valid and any(
-            payload.get(field) != manifest.get(field)
-            for field in _JOURNAL_KEY_FIELDS
-        ):
-            problem = "shard entry does not match the journal key"
-        elif f"shard-{payload.get('shard_index'):04d}.pkl" != shard_path.name:
-            problem = "shard entry index does not match its filename"
-        if problem is not None:
-            report.record("quarantined", shard_path, problem, "quarantine")
-            if report.repair:
-                quarantine_path(shard_path)
-            continue
-        report.ok(shard_path)
-        entries[int(payload["shard_index"])] = payload
-
-    if manifest_valid:
-        report.ok(manifest_path)
-        return
-    if not entries:
-        report.record(
-            "unrecoverable",
-            manifest_path,
-            "journal manifest unreadable and no valid shard entries to "
-            "re-stamp it from",
-            "none",
-        )
-        return
-    # Every valid shard entry carries the full journal key, so a lost or
-    # torn manifest is reconstructible: re-stamp it with the key plus
-    # the shard plan as far as the entries describe it.  Resume
-    # validation checks exactly the key fields, so a re-stamped journal
-    # resumes its completed shards instead of recomputing everything.
-    reference = entries[min(entries)]
-    report.record(
-        "repaired",
-        manifest_path,
-        "journal manifest missing or unreadable",
-        "restamp-manifest",
-    )
-    if not report.repair:
-        return
-    max_index = max(entries)
-    shard_plan = [
-        list(entries[i].get("persona_names", [])) if i in entries else []
-        for i in range(max_index + 1)
-    ]
-    payload = {
-        "schema": CHECKPOINT_SCHEMA_VERSION,
-        **{field: reference.get(field) for field in _JOURNAL_KEY_FIELDS},
-        "shard_plan": shard_plan,
-        "status": "partial",
-        "attempts": {},
-        "missing_personas": [],
-        "package_version": "",
-        "restamped_by": "fsck",
-    }
-    atomic_write_bytes(
-        manifest_path,
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        component="fsck",
-        op="manifest",
-    )
-
-
-def _shard_payload(path: Path) -> Optional[Dict[str, object]]:
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except Exception:  # noqa: BLE001 - any failure means corrupt
-        return None
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("shard_index"), int
-    ):
-        return None
-    return payload
-
-
-# ---------------------------------------------------------------------- #
 # Service job tree
 # ---------------------------------------------------------------------- #
 
@@ -591,11 +477,6 @@ def _fsck_job(job_dir: Path, report: FsckReport) -> None:
 
     _fsck_event_log(job_dir / "events.jsonl", report)
 
-    checkpoint_dir = job_dir / "checkpoint"
-    if (checkpoint_dir / "journal.json").is_file() or any(
-        checkpoint_dir.glob("shard-*.pkl")
-    ):
-        _fsck_checkpoint_journal(checkpoint_dir, report)
     segments_dir = job_dir / "segments"
     if segments_dir.is_dir():
         for campaign_dir in sorted(segments_dir.glob("campaign-seed*-*")):

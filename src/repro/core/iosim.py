@@ -1,6 +1,6 @@
 """Deterministic storage fault injection and the hardened I/O seam.
 
-The campaign's durability story (the checkpoint journal, the
+The campaign's durability story (the supervisor's shard journal, the
 content-addressed segment store, the service job tree) was built against
 crash faults — a worker dying between a temp write and a rename.  Weeks
 of continuous auditing add a different failure domain: disks fill up
@@ -23,8 +23,8 @@ established for network faults and
   of the same seed, independent of what other components are doing;
 * the seam itself is :func:`repro.core.checkpoint.atomic_write_bytes`
   plus the :func:`read_bytes` / :func:`read_text` helpers used by the
-  self-healing read paths (digest cache, sidecar indexes, checkpoint
-  shards, dataset cache).
+  self-healing read paths (digest cache, sidecar indexes, in-flight
+  shard results).
 
 **Fault semantics.**  ``slow`` sleeps on the host wall clock (storage
 latency is real-world latency — it must never touch the simulated
@@ -303,8 +303,8 @@ class StorageFaultPlan:
     """Seeded per-``(component, op)`` storage fault schedule.
 
     Every seam operation draws one decision from the stream named by
-    its component (``"checkpoint"``, ``"segments"``, ``"cache"``,
-    ``"jobs"``) and operation (``"shard"``, ``"segment"``, ``"marker"``,
+    its component (``"checkpoint"``, ``"segments"``, ``"jobs"``) and
+    operation (``"shard"``, ``"segment"``, ``"marker"``,
     ``"index"``, ``"digest-cache"``, ``"manifest"``, ``"state"``, …).
     Because each pair owns an independent substream, a component's Nth
     operation of a kind gets the same decision in every run of the same
@@ -581,7 +581,7 @@ def read_bytes(
     ``corrupt_read`` bit flips.  A site is corruptible only when its
     consumer fully re-validates the payload and recovers from rejection
     without changing campaign outputs (digest cache, sidecar index,
-    checkpoint shard, dataset cache).  ``FileNotFoundError`` and other
+    in-flight shard result).  ``FileNotFoundError`` and other
     non-transient errors propagate immediately: absence is a semantic
     result, not a fault.
     """

@@ -31,10 +31,9 @@ Crash safety
 ------------
 
 Shards are driven by a **supervisor** rather than a bare futures loop.
-Every worker publishes its :class:`ShardResult` to a
-:class:`~repro.core.checkpoint.ShardJournal` (an ephemeral one when
-checkpointing is off), and the supervisor polls the journal plus worker
-liveness under a wall-clock watchdog:
+Every worker publishes its :class:`ShardResult` to an ephemeral
+:class:`~repro.core.checkpoint.ShardJournal`, and the supervisor polls
+the journal plus worker liveness under a wall-clock watchdog:
 
 * a worker that dies without publishing is a **crash** — the shard is
   requeued up to ``max_shard_retries`` times;
@@ -85,6 +84,7 @@ from repro.core.experiment import (
     ExperimentRunner,
     PersonaArtifacts,
     PolicyFetch,
+    config_fingerprint,
 )
 from repro.core.personas import Persona, all_personas, scaled_roster
 from repro.core.world import build_config_world, build_world
@@ -511,11 +511,9 @@ class SupervisorReport:
     """What the supervisor did to get (or fail to get) every shard."""
 
     #: Outcome history per shard, in attempt order: ``"ok"``,
-    #: ``"crash"``, ``"hang"``, ``"poison"``, or ``"checkpoint"`` (the
-    #: shard was loaded from the journal on resume, no attempt made).
+    #: ``"crash"``, ``"hang"``, ``"poison"`` (plus ``"enospc-degrade"``
+    #: when a full disk dropped the shard).
     attempts: Dict[int, List[str]] = field(default_factory=dict)
-    #: Shards served from the checkpoint journal.
-    resumed_shards: Tuple[int, ...] = ()
     #: Shards dropped under ``on_shard_failure="degrade"``.
     failed_shards: Tuple[int, ...] = ()
     #: Personas of the failed shards, in plan order.
@@ -523,10 +521,9 @@ class SupervisorReport:
 
     @property
     def retries(self) -> int:
-        """Attempts beyond each shard's first (checkpoint loads excluded)."""
+        """Attempts beyond each shard's first."""
         return sum(
-            max(0, len([o for o in outcomes if o != "checkpoint"]) - 1)
-            for outcomes in self.attempts.values()
+            max(0, len(outcomes) - 1) for outcomes in self.attempts.values()
         )
 
     def outcome_count(self, kind: str) -> int:
@@ -706,21 +703,11 @@ class _ShardSupervisor:
 
     # ------------------------------------------------------------------ #
 
-    def run(
-        self, preloaded: Optional[Dict[int, ShardResult]] = None
-    ) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
+    def run(self) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
         results: Dict[int, ShardResult] = {}
-        resumed: List[int] = []
-        for index, result in sorted((preloaded or {}).items()):
-            results[index] = result
-            self._outcomes[index].append("checkpoint")
-            resumed.append(index)
-
-        raising: Optional[BaseException] = None
         try:
             for index in range(len(self.journal.shard_plan)):
-                if index not in results:
-                    self._spawn(index, attempt=1)
+                self._spawn(index, attempt=1)
             while self._active:
                 # Clear before polling: a publish landing mid-poll re-sets
                 # the event, so the wait below returns immediately.
@@ -728,32 +715,16 @@ class _ShardSupervisor:
                 self._poll(results)
                 if self._active:
                     self._wake.wait(self.policy.poll_interval)
-        except BaseException as exc:
-            raising = exc
-            raise
         finally:
             for unit in self._active.values():
                 unit.reap()
             self._active.clear()
-            missing = self._missing_personas()
-            status = (
-                "failed"
-                if raising is not None
-                else ("partial" if missing else "complete")
-            )
-            self.journal.write_manifest(
-                status=status,
-                attempts=self._outcomes,
-                missing_personas=missing,
-                package_version=_package_version(),
-            )
 
         report = SupervisorReport(
             attempts={
                 index: list(outcomes)
                 for index, outcomes in self._outcomes.items()
             },
-            resumed_shards=tuple(resumed),
             failed_shards=tuple(sorted(self._failed)),
             missing_personas=self._missing_personas(),
         )
@@ -872,10 +843,28 @@ class _ShardSupervisor:
         )
 
 
-def _package_version() -> str:
-    from repro import __version__
-
-    return __version__
+def _supervise(
+    seed: Seed,
+    config: ExperimentConfig,
+    plan: Sequence[Sequence[str]],
+    backend: str,
+    collect_obs: bool,
+    policy: SupervisorPolicy,
+    shard_fn=_run_shard,
+) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
+    """Run every shard of ``plan`` under a :class:`_ShardSupervisor`
+    whose journal lives in a temp directory deleted when the run ends."""
+    journal_root = tempfile.mkdtemp(prefix="repro-shard-journal-")
+    try:
+        journal = ShardJournal(
+            journal_root, seed.root, config_fingerprint(config), plan
+        )
+        supervisor = _ShardSupervisor(
+            journal, seed, config, backend, collect_obs, policy, shard_fn=shard_fn
+        )
+        return supervisor.run()
+    finally:
+        shutil.rmtree(journal_root, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -890,8 +879,6 @@ def _run_parallel_experiment(
     backend: str = "process",
     collect_obs: bool = False,
     *,
-    checkpoint_dir=None,
-    resume: bool = False,
     policy: Optional[SupervisorPolicy] = None,
 ) -> Tuple[AuditDataset, SupervisorReport]:
     """Run the campaign sharded by persona under the shard supervisor.
@@ -902,58 +889,26 @@ def _run_parallel_experiment(
     ``tests/integration/test_parallel_equivalence.py`` — and with
     ``collect_obs`` the merged trace's simulated-time span tree is
     byte-identical too (``tests/integration/test_obs_equivalence.py``).
-    Completed shards are journaled to ``checkpoint_dir`` (an ephemeral
-    directory when unset); ``resume=True`` loads valid checkpointed
-    shards instead of recomputing them, which — shard artifacts being
-    seed-deterministic — keeps a killed-and-resumed campaign's exports
-    byte-identical to an uninterrupted run's
-    (``tests/integration/test_resume_determinism.py``).
+    Workers hand their shards back through an ephemeral journal that is
+    deleted when the run ends; a killed run starts over (the segment
+    store is the resumable path).
 
     Returns the merged dataset plus the :class:`SupervisorReport` of
-    attempt history, resumed shards, and dropped personas.
+    attempt history and dropped personas.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     policy = policy if policy is not None else SupervisorPolicy()
-
-    from repro.core.cache import config_fingerprint
 
     started = time.perf_counter()
     shards = shard_personas(scaled_roster(config.roster_scale), workers)
     plan = [[p.name for p in shard] for shard in shards]
 
-    ephemeral_root: Optional[str] = None
-    if checkpoint_dir is None:
-        ephemeral_root = tempfile.mkdtemp(prefix="repro-shard-journal-")
-        journal_root = ephemeral_root
-    else:
-        journal_root = checkpoint_dir
-    journal = ShardJournal(
-        journal_root, seed.root, config_fingerprint(config), plan
+    results, report = _supervise(
+        seed, config, plan, backend, collect_obs, policy
     )
-
-    try:
-        preloaded: Dict[int, ShardResult] = {}
-        if resume:
-            journal.validate_for_resume()
-            preloaded = journal.load_completed()
-        else:
-            journal.reset()
-            journal.write_manifest(
-                status="running", package_version=_package_version()
-            )
-
-        supervisor = _ShardSupervisor(
-            journal, seed, config, backend, collect_obs, policy
-        )
-        results, report = supervisor.run(preloaded)
-    finally:
-        if ephemeral_root is not None:
-            shutil.rmtree(ephemeral_root, ignore_errors=True)
 
     scatter_elapsed = time.perf_counter() - started
     dataset = merge_shard_results(
@@ -977,7 +932,6 @@ def _run_parallel_experiment(
             ("supervisor.hangs_reaped", report.outcome_count("hang")),
             ("supervisor.poisoned_results", report.outcome_count("poison")),
             ("supervisor.shards_failed", len(report.failed_shards)),
-            ("supervisor.checkpoints_loaded", len(report.resumed_shards)),
             ("supervisor.personas_missing", len(report.missing_personas)),
         ):
             if count:

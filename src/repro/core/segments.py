@@ -17,7 +17,8 @@ Layout::
         batches/batch-<firstpos>.json      # coverage marker per batch
         segments/<stream>-<firstpos>-<digest12>.jsonl
 
-Durability and reuse rules (shared with :mod:`repro.core.checkpoint`):
+Durability and reuse rules (the atomic publish comes from
+:mod:`repro.core.checkpoint`):
 
 * every file is published through :func:`atomic_write_bytes`, so a
   crash mid-write never leaves a half-written segment at a live name;
@@ -27,11 +28,11 @@ Durability and reuse rules (shared with :mod:`repro.core.checkpoint`):
 * segment files are **content-addressed**: the file name embeds the
   sha256 of the file bytes, and the batch marker records the full
   digest per segment.  A batch counts as *covered* only when its marker
-  validates and every referenced segment's digest matches, which is
-  what subsumes the pickle-level :class:`~repro.core.cache.DatasetCache`
-  with persona-granularity reuse: re-running the same (seed, config)
-  campaign skips covered personas, and a campaign killed mid-run
-  resumes from its completed batches.
+  validates and every referenced segment's digest matches.  This is the
+  reproduction's one reuse and resume mechanism, at persona
+  granularity: re-running the same (seed, config) campaign skips
+  covered personas, and a campaign killed mid-run resumes from its
+  completed batches.
 
 I/O fast path
 -------------
@@ -107,6 +108,7 @@ from repro.core.experiment import (
     ExperimentConfig,
     ExperimentRunner,
     PersonaArtifacts,
+    config_fingerprint,
 )
 from repro.core.personas import positions_by_name, scaled_roster
 from repro.core.profiling import persona_observations
@@ -203,9 +205,9 @@ class _BatchEntry:
 class SegmentStore:
     """Columnar event-stream store for one campaign ``(seed, config)``.
 
-    The store is keyed exactly like the shard journal and the dataset
-    cache: seed root plus config fingerprint (the campaign directory
-    name embeds both), with the roster recorded in the manifest.  All
+    The store is keyed by seed root plus config fingerprint (the
+    campaign directory name embeds both), with the roster recorded in
+    the manifest.  All
     mutation goes through :meth:`write_batch`; reads are streaming.
     """
 
@@ -1296,7 +1298,6 @@ def run_segment_shard(
     a lightweight, artifact-free :class:`~repro.core.parallel.ShardResult`
     for the supervisor's journal bookkeeping.
     """
-    from repro.core.cache import config_fingerprint
     from repro.core.parallel import ShardResult
 
     roster = scaled_roster(config.roster_scale)

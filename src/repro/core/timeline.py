@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.campaign import CampaignSpec, run_segment_positions
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, config_fingerprint
 from repro.core.personas import Persona, scaled_roster
 from repro.data import categories as cat
 from repro.data.calibration import holiday_factor, holiday_window
@@ -528,7 +528,6 @@ def run_timeline_epoch(
     ``reuse = {"linked", "copied", "records"}`` (segment files
     hard-linked, files byte-copied, records JSON-round-tripped).
     """
-    from repro.core.cache import config_fingerprint
     from repro.core.segments import STREAMS, SegmentStore
 
     if not 0 <= index < len(spec.epochs):

@@ -166,7 +166,7 @@ def build_config_world(seed: Seed, config) -> World:
     :class:`~repro.core.experiment.ExperimentConfig` threaded through.
 
     The single world-construction path for campaign engines (serial,
-    parallel shards, segment batches, cache loads): going through it is
+    parallel shards, segment batches): going through it is
     what guarantees that two engines given the same ``(seed, config)``
     audit the same world — the root of every byte-identical-exports pin.
     """

@@ -8,10 +8,10 @@ job you can submit, watch, and download over plain HTTP.
 Three layers, one per module:
 
 * :mod:`repro.service.jobs` — durable job state.  Each job owns a
-  directory (spec, state, event log, exports, checkpoint/segment
-  namespaces); state writes are atomic, so a killed service recovers
-  every in-flight job on restart and resumes it from its own
-  crash-safe checkpoints.
+  directory (spec, state, event log, exports, segment store); state
+  writes are atomic, so a killed service recovers every in-flight job on
+  restart.  A segment job resumes from the batches its own store already
+  holds; a memory job runs again from scratch.
 * :mod:`repro.service.scheduler` — fair-share execution.  Strict-FIFO
   admission under a worker-token budget bounds total concurrency while
   letting multiple tenants' campaigns (different seeds, isolated

@@ -25,7 +25,11 @@ GET       ``/healthz``                         liveness + ``service.*``
 Spec validation happens in :meth:`CampaignSpec.from_dict` before a job
 exists, so a bad body — unknown field, invalid backend, negative
 workers — is a 400 with the same message the Python API raises, and
-never a half-created job.
+never a half-created job.  The body itself is read through a bounded,
+validated reader: a non-integer or negative ``Content-Length`` and a
+body that nests too deeply to parse get 400, a body over
+:data:`MAX_BODY_BYTES` gets 413, and the connection is closed after any
+of them instead of being left half-read.
 
 The SSE endpoint replays the job's ``events.jsonl`` (each line becomes
 one ``data:`` frame) and then follows the file until the job reaches a
@@ -56,6 +60,10 @@ __all__ = ["AuditService"]
 
 #: SSE follow-mode poll interval (seconds).
 _SSE_POLL_SECONDS = 0.05
+
+#: Largest ``POST /campaigns`` body the service reads.  A CampaignSpec
+#: document is well under a kilobyte; anything this size is not one.
+MAX_BODY_BYTES = 1 << 20
 
 _CONTENT_TYPES = {
     ".csv": "text/csv; charset=utf-8",
@@ -230,14 +238,45 @@ class _Handler(BaseHTTPRequestHandler):
         payload.update(self.service.scheduler.counters())
         self._send_json(200, payload)
 
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a 400/413 has been sent.
+
+        An unread body would be parsed as the next request on this
+        keep-alive connection, so every rejection also closes it.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        close = {"Connection": "close"}
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_json(
+                400, {"error": f"invalid Content-Length: {raw!r}"}, headers=close
+            )
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    "reason": "body_too_large",
+                },
+                headers=close,
+            )
+            return None
+        return self.rfile.read(length) if length else b""
+
     def _post_campaign(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
+        body = self._read_body()
+        if body is None:
+            return
         try:
             payload = json.loads(body.decode("utf-8") or "null")
             spec = CampaignSpec.from_dict(payload)
         except (ValueError, TypeError) as exc:
             self._send_error_json(400, str(exc))
+            return
+        except RecursionError:
+            self._send_error_json(400, "campaign spec nests too deeply to parse")
             return
         try:
             job = self.service.scheduler.submit(spec)

@@ -10,17 +10,16 @@ artifacts::
         state.json       # job lifecycle state (atomic writes)
         events.jsonl     # lifecycle + progress events (SSE tails this)
         out/             # export files (results endpoint serves this)
-        checkpoint/      # shard journal namespace (parallel memory jobs)
         segments/        # segment store namespace (store="segments" jobs)
 
-Durability follows the same rules as the shard journal
-(:mod:`repro.core.checkpoint`): every ``state.json`` write is atomic
-(temp → fsync → rename), so a SIGKILL'd service never leaves a
-half-written state behind, and on restart :meth:`JobStore.recover`
-re-enqueues every non-terminal job.  Because the checkpoint journal and
-the segment store are both crash-safe and job-local, a recovered job
-*resumes* — completed shards/batches are loaded, not recomputed — and
-its exports are byte-identical to an uninterrupted run.
+Every ``state.json`` write is atomic (temp → fsync → rename, through
+:func:`repro.core.checkpoint.atomic_write_bytes`), so a SIGKILL'd
+service never leaves a half-written state behind, and on restart
+:meth:`JobStore.recover` re-enqueues every non-terminal job.  A
+recovered segment-store job *resumes*: its job-local store is
+crash-safe, so completed batches are reused, not recomputed.  A
+recovered memory-store job runs again from scratch.  Either way its
+exports are byte-identical to an uninterrupted run.
 
 The event log speaks the exact five-key schema of the campaign obs
 trace (:func:`repro.obs.make_event_record`), one canonical JSON object
@@ -31,6 +30,7 @@ be processed by the same tooling.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from pathlib import Path
@@ -54,6 +54,8 @@ __all__ = [
 #: Bump whenever the persisted ``state.json`` layout changes shape.
 JOB_SCHEMA_VERSION = 1
 
+_log = logging.getLogger(__name__)
+
 #: The job lifecycle.  ``queued`` → ``running`` → one of the terminal
 #: states: ``complete`` (all personas), ``partial`` (a degraded parallel
 #: run dropped personas), ``failed`` (the campaign raised), or
@@ -65,7 +67,7 @@ TERMINAL_STATES = ("complete", "partial", "failed", "cancelled")
 
 #: Spec fields the service owns: placement is per-job, so a submitted
 #: spec must not try to point the campaign at caller-chosen paths.
-_MANAGED_FIELDS = ("cache", "checkpoint_dir", "resume", "store_dir")
+_MANAGED_FIELDS = ("store_dir",)
 
 _SPEC_NAME = "spec.json"
 _STATE_NAME = "state.json"
@@ -166,10 +168,6 @@ class Job:
         return self.root / "out"
 
     @property
-    def checkpoint_dir(self) -> Path:
-        return self.root / "checkpoint"
-
-    @property
     def segments_dir(self) -> Path:
         return self.root / "segments"
 
@@ -231,24 +229,16 @@ class Job:
     def effective_spec(self) -> CampaignSpec:
         """The submitted spec re-rooted into this job's namespace.
 
-        Placement fields are service-managed: a parallel memory campaign
-        checkpoints into ``checkpoint/`` (and resumes from it when a
-        journal is already there — the restart-recovery path), a segment
-        campaign streams into ``segments/``.  Everything that defines
-        *what* runs — config, seed, topology, failure policy — is the
-        submitted spec verbatim, which is what keeps the exports
-        byte-identical to a local ``repro run`` of the same spec.
+        Placement is service-managed: a segment campaign streams into
+        ``segments/`` (and, after a restart, reuses the batches already
+        there).  Everything that defines *what* runs — config, seed,
+        topology, failure policy — is the submitted spec verbatim, which
+        is what keeps the exports byte-identical to a local ``repro
+        run`` of the same spec.
         """
-        spec = self.spec
-        if spec.store == "segments":
-            return spec.replace(store_dir=str(self.segments_dir))
-        if spec.parallel:
-            journal = self.checkpoint_dir / "journal.json"
-            return spec.replace(
-                checkpoint_dir=str(self.checkpoint_dir),
-                resume=journal.exists(),
-            )
-        return spec
+        if self.spec.store == "segments":
+            return self.spec.replace(store_dir=str(self.segments_dir))
+        return self.spec
 
     def execute(self) -> str:
         """Run the campaign; returns the terminal state reached.
@@ -266,12 +256,10 @@ class Job:
             self.update_state("cancelled")
             return "cancelled"
         spec = self.effective_spec()
-        resumed = spec.resume
-        self.update_state("running", resumed=resumed)
+        self.update_state("running")
         self.events.emit(
             "job.started",
             fingerprint=self.spec.fingerprint(),
-            resumed=resumed,
             store=spec.store,
             parallel=spec.parallel,
         )
@@ -319,12 +307,11 @@ def _json_counts(counts: Dict[str, int]) -> Dict[str, int]:
 class _ProgressWatcher:
     """Background poll of a running job's durable namespace.
 
-    Parallel memory jobs leave ``shard-*.pkl`` entries in the checkpoint
-    journal and segment jobs leave ``batch-*.json`` coverage markers;
-    counting them is a cheap, read-only progress signal that feeds
-    ``job.progress`` events (and therefore the SSE stream) without
-    touching the campaign's own code paths.  Serial in-memory jobs have
-    no durable footprint, so they simply emit no progress events.
+    Segment jobs leave ``batch-*.json`` coverage markers; counting them
+    is a cheap, read-only progress signal that feeds ``job.progress``
+    events (and therefore the SSE stream) without touching the
+    campaign's own code paths.  Memory-store jobs have no durable
+    footprint, so they simply emit no progress events.
     """
 
     def __init__(self, job: Job) -> None:
@@ -345,25 +332,18 @@ class _ProgressWatcher:
 
     def _count(self) -> Optional[int]:
         job = self._job
-        if job.spec.store == "segments":
-            if job.segments_dir.is_dir():
-                return len(list(job.segments_dir.glob("**/batch-*.json")))
-            return 0
-        if job.spec.parallel:
-            if job.checkpoint_dir.is_dir():
-                return len(list(job.checkpoint_dir.glob("shard-*.pkl")))
-            return 0
-        return None
+        if job.spec.store != "segments":
+            return None
+        return len(list(job.segments_dir.glob("**/batch-*.json")))
 
     def _run(self) -> None:
         last: Optional[int] = None
-        unit = "batches" if self._job.spec.store == "segments" else "shards"
         while not self._stop.wait(_PROGRESS_POLL_SECONDS):
             count = self._count()
             if count is None:
                 return
             if count != last and count > 0:
-                self._job.events.emit("job.progress", completed=count, unit=unit)
+                self._job.events.emit("job.progress", completed=count, unit="batches")
                 last = count
 
 
@@ -400,15 +380,27 @@ class JobStore:
             spec_path = job_dir / _SPEC_NAME
             if not spec_path.is_file():
                 continue
-            spec = CampaignSpec.from_json(spec_path.read_text(encoding="utf-8"))
+            # A skipped directory still holds its sequence number, so a
+            # new job never reuses the id of one left on disk.
+            seq = _seq_of(job_dir.name)
+            if seq is not None and seq >= self._next_seq:
+                self._next_seq = seq + 1
+            try:
+                spec = CampaignSpec.from_json(spec_path.read_text(encoding="utf-8"))
+            except (ValueError, TypeError) as exc:
+                # Corrupt, or written by a release whose spec fields are
+                # gone: the job cannot run, but one bad directory must
+                # not keep the service from starting.  Its files stay in
+                # place for the operator (``repro fsck`` reports it).
+                _log.warning(
+                    "skipping job %s: unreadable spec: %s", job_dir.name, exc
+                )
+                continue
             job = Job(job_dir, job_dir.name, spec)
             state_path = job_dir / _STATE_NAME
             if state_path.is_file():
                 job._state = json.loads(state_path.read_text(encoding="utf-8"))
             self._jobs[job.id] = job
-            seq = _seq_of(job.id)
-            if seq is not None and seq >= self._next_seq:
-                self._next_seq = seq + 1
 
     def submit(self, spec: CampaignSpec, *, queued_at: Optional[float] = None) -> Job:
         """Persist a new queued job for ``spec``."""
@@ -424,7 +416,7 @@ class JobStore:
         if managed:
             raise SubmitError(
                 f"{', '.join(managed)} are managed by the service — each job "
-                "gets its own cache/checkpoint/segment namespace, so a "
+                "gets its own segment namespace, so a "
                 "submitted spec must leave placement fields unset"
             )
         with self._lock:
@@ -473,8 +465,8 @@ class JobStore:
         re-stamped: ``seq`` is reconstructed from its id, and since the
         original wall-clock time is unrecoverable, ``queued_at`` gets
         the recovery time — FIFO order is carried by ``seq`` either way.
-        Running jobs keep their checkpoint/segment namespaces, so
-        re-execution resumes from durable work instead of starting over.
+        Segment jobs keep their store namespace, so re-execution reuses
+        the batches already written; memory jobs run again from scratch.
         """
         recovered: List[Job] = []
         for job in self.list():

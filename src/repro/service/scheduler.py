@@ -159,11 +159,10 @@ class CampaignScheduler:
 
         New submissions raise :class:`DrainingError`; the dispatcher
         stops handing out work; running jobs run to their own terminal
-        states (their checkpoints and segment batches are durable, so
-        nothing is lost either way).  Jobs still queued stay durably
-        ``queued`` — a restarted service re-admits them through
-        ``store.recover()`` in their original order.  Returns ``True``
-        when every running job finished within ``timeout``.
+        states.  Jobs still queued stay durably ``queued`` — a restarted
+        service re-admits them through ``store.recover()`` in their
+        original order.  Returns ``True`` when every running job
+        finished within ``timeout``.
         """
         with self._cond:
             self._draining = True

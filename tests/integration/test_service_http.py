@@ -7,14 +7,16 @@ run a real :class:`AuditService` on an ephemeral port and exercise
 submit → schedule → poll → SSE → download, plus the two properties a
 multi-tenant durable service must hold: concurrent campaigns do not
 contaminate each other, and SIGKILL of the whole service process loses
-no submitted work — a restart on the same root resumes and completes
-to identical bytes.
+no submitted work — a restart on the same root completes every job to
+identical bytes, reusing the batches a segment job had already written.
+Malformed request bodies get a JSON 4xx and never a dropped connection.
 """
 
 import hashlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,6 +29,7 @@ from repro.core.campaign import CampaignSpec, execute_spec
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import EXPORT_FILES
 from repro.service import AuditService
+from repro.service.app import MAX_BODY_BYTES
 
 TINY = ExperimentConfig(
     skills_per_persona=2,
@@ -74,6 +77,33 @@ def _digest_dir(directory):
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
         for name in EXPORT_FILES
     }
+
+
+def _raw_post(port, content_length, body=b""):
+    """POST /campaigns over a bare socket with a hand-set Content-Length;
+    returns ``(status, json_body)`` — or fails if the server hangs up
+    without answering."""
+    head = (
+        "POST /campaigns HTTP/1.1\r\n"
+        "Host: 127.0.0.1\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+    ).encode("ascii")
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head + body)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    assert raw, "connection dropped with no response"
+    header, _, payload = raw.partition(b"\r\n\r\n")
+    status = int(header.split(b" ", 2)[1])
+    return status, json.loads(payload.decode("utf-8"))
 
 
 class TestHttpLifecycle:
@@ -133,19 +163,52 @@ class TestHttpLifecycle:
         with AuditService(tmp_path / "service") as service:
             url = f"{service.url}/campaigns"
             bad_bodies = [
-                {"schema": 1, "config": {}, "backend": "gpu", "parallel": True},
-                {"schema": 1, "config": {}, "wrokers": 4},
-                {"schema": 99, "config": {}},
-                {"schema": 1, "config": {}, "cache": "/tmp/c"},  # managed
+                ({"schema": 1, "config": {}, "backend": "gpu", "parallel": True}, "backend"),
+                ({"schema": 1, "config": {}, "wrokers": 4}, "wrokers"),
+                ({"schema": 99, "config": {}}, "schema"),
+                # A field the segment store replaced is named in the error.
+                (
+                    {"schema": 1, "config": {}, "cache": "/tmp/c"},
+                    "unknown campaign spec fields: ['cache']",
+                ),
+                (
+                    {"schema": 1, "config": {}, "store": "segments", "store_dir": "/x"},
+                    "managed by the service",
+                ),
             ]
-            for body in bad_bodies:
+            for body, message in bad_bodies:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     _post_json(url, body)
                 assert excinfo.value.code == 400
                 detail = json.loads(excinfo.value.read().decode("utf-8"))
-                assert "error" in detail
+                assert message in detail["error"]
             # nothing half-created
             assert _get_json(url)["jobs"] == []
+
+    @pytest.mark.parametrize(
+        "content_length,body,status",
+        [
+            ("abc", b"", 400),
+            ("-5", b"", 400),
+            (str(MAX_BODY_BYTES + 1), b"", 413),
+            (None, b"[" * 100000, 400),
+        ],
+        ids=["non-integer", "negative", "oversized", "deeply-nested"],
+    )
+    def test_malformed_bodies_get_json_errors(
+        self, tmp_path, content_length, body, status
+    ):
+        with AuditService(tmp_path / "service") as service:
+            got, detail = _raw_post(
+                service.port,
+                len(body) if content_length is None else content_length,
+                body,
+            )
+            assert got == status
+            assert "error" in detail
+            # The handler thread is free and the server keeps serving.
+            assert _get_json(f"{service.url}/healthz")["status"] == "ok"
+            assert _get_json(f"{service.url}/campaigns")["jobs"] == []
 
     def test_unknown_job_and_file_are_404(self, tmp_path):
         spec = CampaignSpec(config=TINY, seed=406)
@@ -197,12 +260,71 @@ class TestMultiTenant:
         assert 1 <= health["service.workers_peak"] <= 2
 
 
+def _spawn_service(root):
+    """A service in a child process; returns ``(process, port)``."""
+    script = (
+        "import sys, time\n"
+        "from repro.service import AuditService\n"
+        f"service = AuditService({str(root)!r}, total_workers=4)\n"
+        "service.start()\n"
+        "print(service.port, flush=True)\n"
+        "while True:\n"
+        "    time.sleep(0.5)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    # Own session, so SIGKILL takes the campaign's shard workers down too.
+    victim = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    return victim, int(victim.stdout.readline().strip())
+
+
+def _kill_when(victim, ready, timeout=240.0):
+    """SIGKILL the service's whole process group once ``ready()``."""
+    try:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline and victim.poll() is None:
+            if ready():
+                break
+            time.sleep(0.02)
+        os.killpg(victim.pid, signal.SIGKILL)
+        victim.wait(timeout=30)
+    finally:
+        if victim.poll() is None:
+            victim.kill()
+        victim.stdout.close()
+
+
+def _job_state(root, job_id):
+    """The job's persisted lifecycle state, or None before it lands."""
+    state_path = root / "jobs" / job_id / "state.json"
+    try:
+        return json.loads(state_path.read_text(encoding="utf-8"))["state"]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def _served_digests(base_url, job_id):
+    return {
+        name: hashlib.sha256(
+            _get_bytes(f"{base_url}/campaigns/{job_id}/results/{name}")
+        ).hexdigest()
+        for name in EXPORT_FILES
+    }
+
+
 class TestKillRestartResume:
     def test_sigkill_service_then_restart_completes_identically(self, tmp_path):
         """SIGKILL the whole service mid-campaign; a restart on the same
-        root re-queues the job, resumes from its checkpoints, and the
-        final exports match an uninterrupted in-process run byte for
-        byte."""
+        root re-queues the parallel memory job, runs it again from
+        scratch, and the final exports match an uninterrupted in-process
+        run byte for byte."""
         spec = CampaignSpec(
             config=TINY, seed=2026, parallel=True, workers=4, backend="process"
         )
@@ -210,62 +332,65 @@ class TestKillRestartResume:
         gold = _digest_dir(tmp_path / "direct")
 
         root = tmp_path / "service-root"
-        script = (
-            "import sys, time\n"
-            "from repro.service import AuditService\n"
-            f"service = AuditService({str(root)!r}, total_workers=4)\n"
-            "service.start()\n"
-            "print(service.port, flush=True)\n"
-            "while True:\n"
-            "    time.sleep(0.5)\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        victim = subprocess.Popen(
-            [sys.executable, "-c", script],
-            env=env,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            port = int(victim.stdout.readline().strip())
-            _, record = _post_json(
-                f"http://127.0.0.1:{port}/campaigns", spec.to_dict()
-            )
-            job_id = record["id"]
-            ckpt = root / "jobs" / job_id / "checkpoint"
-            # Kill the moment the first shard checkpoint lands.  If the
-            # campaign wins the race and finishes, the restart degenerates
-            # to recovery of a complete journal — equality must still hold.
-            deadline = time.monotonic() + 240
-            while time.monotonic() < deadline and victim.poll() is None:
-                if list(ckpt.glob("shard-*.pkl")):
-                    break
-                time.sleep(0.05)
-            victim.send_signal(signal.SIGKILL)
-            victim.wait(timeout=30)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-            victim.stdout.close()
-        assert list(ckpt.glob("shard-*.pkl")), "no shard ever checkpointed"
+        victim, port = _spawn_service(root)
+        _, record = _post_json(f"http://127.0.0.1:{port}/campaigns", spec.to_dict())
+        job_id = record["id"]
+        # A memory job leaves nothing durable mid-run: kill once it runs.
+        _kill_when(victim, lambda: _job_state(root, job_id) == "running")
+        # The kill must have cut the job down mid-run, or the restart
+        # below would have nothing to recover.
+        assert _job_state(root, job_id) == "running"
 
-        # Restart on the same root: recovery must find the orphaned job,
-        # re-queue it, and resume from the journal it left behind.
         with AuditService(root, total_workers=4) as service:
             final = _wait_terminal(service.url, job_id)
             assert final["state"] == "complete"
-            served = {
-                name: hashlib.sha256(
-                    _get_bytes(
-                        f"{service.url}/campaigns/{job_id}/results/{name}"
-                    )
-                ).hexdigest()
-                for name in EXPORT_FILES
-            }
+            served = _served_digests(service.url, job_id)
             events = _get_bytes(
                 f"{service.url}/campaigns/{job_id}/events?follow=0"
             ).decode("utf-8")
         assert served == gold
         assert "job.recovered" in events
+
+    def test_sigkill_segments_job_resumes_from_its_batches(self, tmp_path):
+        """SIGKILL the service while a parallel segments job runs; the
+        restart reuses every batch written before the kill (the files
+        are untouched) and exports the uninterrupted run's bytes."""
+        spec = CampaignSpec(
+            config=TINY,
+            seed=2026,
+            parallel=True,
+            workers=4,
+            backend="process",
+            store="segments",
+        )
+        execute_spec(spec, tmp_path / "direct")
+        gold = _digest_dir(tmp_path / "direct")
+
+        root = tmp_path / "service-root"
+        victim, port = _spawn_service(root)
+        _, record = _post_json(f"http://127.0.0.1:{port}/campaigns", spec.to_dict())
+        job_id = record["id"]
+        store_dir = root / "jobs" / job_id / "segments"
+
+        def markers():
+            return {
+                str(path.relative_to(store_dir)): path.stat().st_mtime_ns
+                for path in store_dir.glob("campaign-*/batches/batch-*.json")
+            }
+
+        _kill_when(victim, lambda: bool(markers()))
+        before = markers()
+        assert before, "no batch was ever covered"
+        assert _job_state(root, job_id) == "running"
+
+        with AuditService(root, total_workers=4) as service:
+            final = _wait_terminal(service.url, job_id)
+            assert final["state"] == "complete"
+            served = _served_digests(service.url, job_id)
+            events = _get_bytes(
+                f"{service.url}/campaigns/{job_id}/events?follow=0"
+            ).decode("utf-8")
+        assert served == gold
+        assert "job.recovered" in events
+        after = markers()
+        assert {name: after[name] for name in before} == before

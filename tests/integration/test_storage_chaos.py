@@ -85,16 +85,17 @@ class TestByteIdenticalUnderFaults:
         assert store.status() == "complete"
 
     def test_memory_campaign_counters_reach_obs(self, reference, tmp_path):
-        # A cached memory campaign touches the seam exactly once (the
-        # dataset pickle), so rate-based profiles may draw healthy;
-        # slow_rate=1.0 guarantees an injection without risking bytes.
+        # A parallel memory campaign touches the seam once per shard (the
+        # workers' journal publishes), so rate-based profiles may draw
+        # healthy; slow_rate=1.0 guarantees an injection without risking
+        # bytes.
         profile = StorageFaultProfile(
             name="always-slow", slow_rate=1.0, slow_seconds=(0.0, 0.0005)
         )
         plan = StorageFaultPlan(Seed(SEED_ROOT), profile)
         with storage_faults(plan):
             dataset = run_campaign(
-                CONFIG, Seed(SEED_ROOT), cache=tmp_path / "cache"
+                CONFIG, Seed(SEED_ROOT), parallel=True, workers=2, backend="thread"
             )
             export_dataset(dataset, tmp_path / "out")
         assert _digests(tmp_path / "out") == reference

@@ -59,7 +59,8 @@ class TestValidation:
             run_campaign(TINY, 1, workers=4)
 
     def test_parallel_with_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        # The dataset cache is gone; the segment store is the reuse path.
+        with pytest.raises(TypeError, match="cache"):
             run_campaign(TINY, 1, parallel=True, cache=tmp_path)
 
     def test_parallel_with_caller_collector(self):

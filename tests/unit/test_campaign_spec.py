@@ -35,7 +35,6 @@ class TestRoundTrip:
         spec = CampaignSpec(
             config=TINY, seed=7, parallel=True, workers=3, backend="thread",
             on_shard_failure="degrade", shard_timeout=12.5,
-            checkpoint_dir="/tmp/ckpt", resume=True,
         )
         assert CampaignSpec.from_json(spec.to_json()) == spec
 
@@ -119,27 +118,43 @@ class TestValidation:
 
     def test_rejects_supervisor_knobs_without_parallel(self):
         with pytest.raises(ValueError, match="parallel=True"):
-            CampaignSpec(config=TINY, checkpoint_dir="x")
+            CampaignSpec(config=TINY, on_shard_failure="degrade")
         with pytest.raises(ValueError, match="parallel=True"):
             CampaignSpec(config=TINY, shard_timeout=5.0)
 
     def test_rejects_cache_with_parallel(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignSpec(config=TINY, parallel=True, cache="c")
+        payload = CampaignSpec(config=TINY, parallel=True).to_dict()
+        payload["cache"] = "c"
+        with pytest.raises(ValueError, match=r"unknown campaign spec fields: \['cache'\]"):
+            CampaignSpec.from_dict(payload)
 
     def test_rejects_cache_for_segments(self):
-        with pytest.raises(ValueError, match="segments"):
-            CampaignSpec(config=TINY, store="segments", cache="c")
+        payload = CampaignSpec(config=TINY, store="segments").to_dict()
+        payload["cache"] = "c"
+        with pytest.raises(ValueError, match=r"unknown campaign spec fields: \['cache'\]"):
+            CampaignSpec.from_dict(payload)
 
     def test_rejects_batch_personas_for_memory(self):
         with pytest.raises(ValueError, match="batch_personas"):
             CampaignSpec(config=TINY, batch_personas=2)
 
     def test_rejects_unknown_top_level_field(self):
-        payload = CampaignSpec(config=TINY).to_dict()
-        payload["wrokers"] = 4
-        with pytest.raises(ValueError, match="unknown campaign spec fields"):
-            CampaignSpec.from_dict(payload)
+        # A typo, and the fields the segment store replaced: a schema-1
+        # document naming one of them is rejected, and the message
+        # names the field.
+        for name, value in (
+            ("wrokers", 4),
+            ("cache", "/tmp/cache"),
+            ("cache_copy", False),
+            ("checkpoint_dir", "/tmp/ckpt"),
+            ("resume", True),
+        ):
+            payload = CampaignSpec(config=TINY, parallel=True).to_dict()
+            payload[name] = value
+            with pytest.raises(
+                ValueError, match=rf"unknown campaign spec fields: \['{name}'\]"
+            ):
+                CampaignSpec.from_dict(payload)
 
     def test_rejects_unknown_config_field(self):
         payload = CampaignSpec(config=TINY).to_dict()
@@ -160,7 +175,7 @@ class TestValidation:
     def test_rejects_path_objects_in_spec(self):
         with pytest.raises(TypeError, match="string path"):
             CampaignSpec(
-                config=TINY, parallel=True, checkpoint_dir=Path("x")  # type: ignore[arg-type]
+                config=TINY, store="segments", store_dir=Path("x")  # type: ignore[arg-type]
             )
 
 

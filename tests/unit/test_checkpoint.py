@@ -1,4 +1,5 @@
-"""Unit tests for the crash-safe shard journal (repro.core.checkpoint)."""
+"""Unit tests for the atomic publish helpers and the supervisor's shard
+journal (repro.core.checkpoint)."""
 
 import os
 import pickle
@@ -7,7 +8,6 @@ import pytest
 
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
-    CheckpointError,
     CorruptShardError,
     ShardJournal,
     atomic_write_bytes,
@@ -82,7 +82,7 @@ class TestShardEntries:
     def test_absent_entry_is_none(self, tmp_path):
         journal = _journal(tmp_path)
         assert journal.load_shard(0) is None
-        assert not journal.has_entry(0)
+        assert not journal.shard_path(0).exists()
 
     def test_out_of_plan_index_rejected(self, tmp_path):
         journal = _journal(tmp_path)
@@ -134,100 +134,17 @@ class TestShardEntries:
         journal.write_shard(0, "result")
         target = journal.quarantine(0)
         assert target is not None and target.name.endswith(".corrupt")
-        assert not journal.has_entry(0)
+        assert not journal.shard_path(0).exists()
         assert journal.load_shard(0) is None  # key free for a retry
 
     def test_quarantine_of_absent_entry_is_noop(self, tmp_path):
         assert _journal(tmp_path).quarantine(0) is None
-
-    def test_load_completed_skips_and_quarantines_corrupt(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "r0")
-        journal.write_shard(2, "r2")
-        journal.shard_path(1).parent.mkdir(parents=True, exist_ok=True)
-        journal.shard_path(1).write_bytes(b"junk")
-        completed = journal.load_completed()
-        assert completed == {0: "r0", 2: "r2"}
-        assert journal.shard_path(1).with_name(
-            journal.shard_path(1).name + ".corrupt"
-        ).is_file()
-
-    def test_reset_drops_entries_errors_and_quarantine(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "r0")
-        journal.write_error(1, "boom")
-        journal.write_shard(2, "r2")
-        journal.quarantine(2)
-        journal.reset()
-        assert journal.load_completed() == {}
-        assert journal.read_error(1) is None
-        assert not list(tmp_path.glob("shard-*"))
 
     def test_error_records_round_trip(self, tmp_path):
         journal = _journal(tmp_path)
         assert journal.read_error(0) is None
         journal.write_error(0, "Traceback: worker exploded")
         assert "exploded" in journal.read_error(0)
-
-
-class TestJournalManifest:
-    def test_round_trip(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_manifest(
-            status="partial",
-            attempts={0: ["ok"], 1: ["crash", "ok"], 2: ["hang", "crash"]},
-            missing_personas=["d", "e"],
-            package_version="1.4.0",
-        )
-        manifest = journal.read_manifest()
-        assert manifest["status"] == "partial"
-        assert manifest["attempts"] == {
-            "0": ["ok"],
-            "1": ["crash", "ok"],
-            "2": ["hang", "crash"],
-        }
-        assert manifest["missing_personas"] == ["d", "e"]
-        assert manifest["shard_plan"] == PLAN
-        assert manifest["schema"] == CHECKPOINT_SCHEMA_VERSION
-
-    def test_invalid_status_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="status"):
-            _journal(tmp_path).write_manifest(status="exploded")
-
-    def test_missing_manifest_reads_none(self, tmp_path):
-        assert _journal(tmp_path).read_manifest() is None
-
-    def test_corrupt_manifest_raises(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        journal.manifest_path.write_text("{not json")
-        with pytest.raises(CorruptShardError, match="unreadable"):
-            journal.read_manifest()
-
-    def test_validate_for_resume_accepts_matching_key(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_manifest(status="running")
-        assert journal.validate_for_resume()["status"] == "running"
-
-    def test_validate_for_resume_requires_manifest(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no journal manifest"):
-            _journal(tmp_path).validate_for_resume()
-
-    @pytest.mark.parametrize(
-        "overrides,field",
-        [
-            ({"seed_root": 9999}, "seed_root"),
-            ({"config_fingerprint": "zzz"}, "config_fingerprint"),
-            ({"shard_plan": [["a"], ["b", "c"], ["d", "e"]]}, "plan_digest"),
-        ],
-        ids=["seed", "config", "plan"],
-    )
-    def test_validate_for_resume_rejects_foreign_journal(
-        self, tmp_path, overrides, field
-    ):
-        _journal(tmp_path).write_manifest(status="running")
-        with pytest.raises(CheckpointError, match=field):
-            _journal(tmp_path, **overrides).validate_for_resume()
 
 
 class TestJournalConstruction:

@@ -94,13 +94,16 @@ class TestCli:
             assert (mem / name).read_bytes() == (seg / name).read_bytes(), name
 
     def test_run_segments_rejects_cache_flag(self, tmp_path):
-        code = main(
-            [
-                "run", "--small", "--seed", "7", "--cache",
-                "--store", "segments", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 2
+        # --cache no longer exists: argparse rejects it before any run.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run", "--small", "--seed", "7", "--cache",
+                    "--store", "segments", "--out", str(tmp_path / "x"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_tables_small(self, capsys):
         assert main(["tables", "--small", "--seed", "7"]) == 0

@@ -183,6 +183,9 @@ class TestManifest:
     def test_validates_entrypoint(self):
         with pytest.raises(ValueError):
             RunManifest(seed_root=1, config_fingerprint="x", entrypoint="warp")
+        # The dataset cache and its "cached" entrypoint are gone.
+        with pytest.raises(ValueError, match="cached"):
+            RunManifest(seed_root=1, config_fingerprint="x", entrypoint="cached")
 
     def test_to_dict_splits_real_fields(self):
         manifest = RunManifest(
@@ -196,6 +199,9 @@ class TestManifest:
         assert payload["persona_count"] == 2
         assert payload["real"]["phase_seconds"] == {"setup": 0.25}
         assert "real" not in manifest.to_dict(include_real=False)
+        assert payload["schema"] == 4
+        for removed in ("cache_hit", "resumed", "checkpointed"):
+            assert removed not in payload
 
 
 class TestCollector:

@@ -3,6 +3,7 @@ the event log, and the fair-share scheduler — exercised with stubbed
 campaign execution so they run in milliseconds."""
 
 import json
+import logging
 import threading
 import time
 
@@ -78,12 +79,11 @@ class TestJobStore:
     def test_submit_rejects_managed_placement_fields(self, tmp_path):
         store = JobStore(tmp_path)
         managed = CampaignSpec(
-            config=TINY, parallel=True, checkpoint_dir="/tmp/elsewhere"
+            config=TINY, store="segments", store_dir="/tmp/elsewhere"
         )
-        with pytest.raises(SubmitError, match="managed by the service"):
+        with pytest.raises(SubmitError, match="store_dir are managed by the service"):
             store.submit(managed)
-        with pytest.raises(SubmitError, match="managed by the service"):
-            store.submit(CampaignSpec(config=TINY, cache="/tmp/cache"))
+        assert store.list() == []
 
     def test_job_ids_are_sequential_across_restarts(self, tmp_path):
         store = JobStore(tmp_path)
@@ -108,15 +108,41 @@ class TestJobStore:
             for l in read_event_lines(crashed.events_path)
         )
 
+    def test_unreadable_spec_is_skipped_not_fatal(self, tmp_path, caplog):
+        store = JobStore(tmp_path)
+        kept = store.submit(SPEC)
+        # A job written by 1.x names the spec fields the segment store
+        # replaced; another job's spec is torn mid-write.
+        legacy = tmp_path / "jobs" / "job-000002-deadbeef"
+        legacy.mkdir()
+        old_doc = dict(SPEC.to_dict(), cache=None, cache_copy=True,
+                       checkpoint_dir=None, resume=False)
+        (legacy / "spec.json").write_text(json.dumps(old_doc), encoding="utf-8")
+        torn = tmp_path / "jobs" / "job-000003-0badf00d"
+        torn.mkdir()
+        (torn / "spec.json").write_text('{"schema": 1, "con', encoding="utf-8")
+
+        # The CLI may have stopped the ``repro`` logger propagating to the
+        # root, so listen on the module's logger itself.
+        logger = logging.getLogger("repro.service.jobs")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level("WARNING", logger=logger.name):
+                restarted = JobStore(tmp_path)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert [j.id for j in restarted.list()] == [kept.id]
+        assert "job-000002-deadbeef" in caplog.text
+        assert "job-000003-0badf00d" in caplog.text
+        # The skipped directories stay on disk and keep their ids.
+        assert (legacy / "spec.json").is_file() and (torn / "spec.json").is_file()
+        assert restarted.submit(SPEC.replace(seed=9)).id.startswith("job-000004-")
+
     def test_effective_spec_isolates_namespaces(self, tmp_path):
         store = JobStore(tmp_path)
         parallel = store.submit(CampaignSpec(config=TINY, parallel=True, workers=2))
-        effective = parallel.effective_spec()
-        assert effective.checkpoint_dir == str(parallel.checkpoint_dir)
-        assert effective.resume is False  # no journal yet
-        (parallel.checkpoint_dir).mkdir(parents=True)
-        (parallel.checkpoint_dir / "journal.json").write_text("{}")
-        assert parallel.effective_spec().resume is True  # restart path
+        # A memory job has nothing to place: it runs the spec verbatim.
+        assert parallel.effective_spec() == parallel.spec
 
         segments = store.submit(CampaignSpec(config=TINY, store="segments"))
         assert segments.effective_spec().store_dir == str(segments.segments_dir)

@@ -54,7 +54,7 @@ def _supervisor(tmp_path, policy, backend="thread", shard_fn=_stub_shard):
 class TestHealthyRuns:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_all_shards_complete(self, tmp_path, backend):
-        supervisor, journal = _supervisor(
+        supervisor, _ = _supervisor(
             tmp_path, SupervisorPolicy(), backend=backend
         )
         results, report = supervisor.run()
@@ -62,16 +62,7 @@ class TestHealthyRuns:
         assert report.attempts == {0: ["ok"], 1: ["ok"], 2: ["ok"]}
         assert report.retries == 0
         assert report.failed_shards == ()
-        assert journal.read_manifest()["status"] == "complete"
-
-    def test_preloaded_shards_are_not_recomputed(self, tmp_path):
-        policy = SupervisorPolicy()
-        supervisor, _ = _supervisor(tmp_path, policy)
-        results, report = supervisor.run(preloaded={0: "checkpointed-0"})
-        assert results[0] == "checkpointed-0"
-        assert report.attempts[0] == ["checkpoint"]
-        assert report.resumed_shards == (0,)
-        assert report.retries == 0  # checkpoint loads are not attempts
+        assert report.missing_personas == ()  # a complete run
 
 
 class TestCrashRecovery:
@@ -79,12 +70,13 @@ class TestCrashRecovery:
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted({(1, 1): "crash"})
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
+        supervisor, _ = _supervisor(tmp_path, policy)
         results, report = supervisor.run()
         assert results[1] == "result-1"
         assert report.attempts[1] == ["crash", "ok"]
         assert report.retries == 1
-        assert journal.read_manifest()["status"] == "complete"
+        assert report.failed_shards == ()
+        assert report.missing_personas == ()  # the retry completed it
 
     def test_retry_budget_exhaustion_raises(self, tmp_path):
         schedule = {(1, attempt): "crash" for attempt in (1, 2)}
@@ -92,12 +84,11 @@ class TestCrashRecovery:
             max_shard_retries=1,
             worker_faults=WorkerFaultPlan.targeted(schedule),
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
+        supervisor, _ = _supervisor(tmp_path, policy)
         with pytest.raises(ShardFailure) as excinfo:
             supervisor.run()
         assert excinfo.value.shard_index == 1
         assert excinfo.value.outcomes == ("crash", "crash")
-        assert journal.read_manifest()["status"] == "failed"
 
     def test_raise_policy_propagates_first_failure(self, tmp_path):
         policy = SupervisorPolicy(
@@ -137,15 +128,12 @@ class TestDegrade:
             on_shard_failure="degrade",
             worker_faults=WorkerFaultPlan.targeted(schedule),
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
+        supervisor, _ = _supervisor(tmp_path, policy)
         results, report = supervisor.run()
         assert sorted(results) == [0, 1]
         assert report.failed_shards == (2,)
         assert report.missing_personas == ("d", "e")
-        manifest = journal.read_manifest()
-        assert manifest["status"] == "partial"
-        assert manifest["missing_personas"] == ["d", "e"]
-        assert manifest["attempts"]["2"] == ["crash", "crash", "crash"]
+        assert report.attempts[2] == ["crash", "crash", "crash"]
 
 
 class TestWatchdog:
@@ -271,10 +259,10 @@ class TestSupervisorReport:
             attempts={
                 0: ["ok"],
                 1: ["crash", "hang", "ok"],
-                2: ["checkpoint"],
+                2: ["poison", "ok"],
             }
         )
-        assert report.retries == 2
+        assert report.retries == 3
         assert report.outcome_count("crash") == 1
         assert report.outcome_count("hang") == 1
-        assert report.outcome_count("ok") == 2
+        assert report.outcome_count("ok") == 3
